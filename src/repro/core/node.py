@@ -341,14 +341,7 @@ class Node:
             self.neighbor_cache[msg.target] = frame.src_link
         name = type(msg).META.name
         self.ctx.metrics.on_receive(name)
-        # msg.summary() formatting dominates flood host time; with the
-        # recorder disabled record() discards its arguments, so skip
-        # building them at all.  (A capacity-full recorder still formats:
-        # it counts drops, and that path stays byte-identical.)
-        if self.ctx.trace.enabled:
-            self.ctx.trace.record(
-                self.sim.now, self.name, "recv", name, msg.summary(), payload=msg
-            )
+        self.ctx.trace.record(self.sim.now, self.name, "recv", name, payload=msg)
         for handler in self._handlers.get(type(msg), ()):
             handler(frame, msg)
 
@@ -356,17 +349,15 @@ class Node:
     def _src_ip(self) -> IPv6Address:
         return self.ip if self.ip is not None else UNSPECIFIED
 
-    def _trace_send(self, msg: Message, detail_suffix: str = "") -> int:
+    def _trace_send(self, msg: Message, next_hop: IPv6Address | None = None) -> int:
         name = type(msg).META.name
         # Wire cache: a message already encoded (for signing, a previous
         # forward of the same copy, ...) is never re-encoded for its size.
         size = msg.wire_size()
         self.ctx.metrics.on_send(name, size)
-        if self.ctx.trace.enabled:
-            self.ctx.trace.record(
-                self.sim.now, self.name, "send", name,
-                msg.summary() + detail_suffix, payload=msg,
-            )
+        self.ctx.trace.record(
+            self.sim.now, self.name, "send", name, payload=msg, next_hop=next_hop
+        )
         return size
 
     def broadcast(self, msg: Message, claimed_src: IPv6Address | None = None) -> None:
@@ -396,11 +387,14 @@ class Node:
         on_fail: Callable[[], None] | None = None,
         on_success: Callable[[], None] | None = None,
         claimed_src: IPv6Address | None = None,
-        target_name: str = "",
+        next_hop: IPv6Address | None = None,
     ) -> None:
-        """Unicast to a known link id with MAC retry/failure semantics."""
-        suffix = f" ->{target_name}" if target_name else ""
-        size = self._trace_send(msg, suffix)
+        """Unicast to a known link id with MAC retry/failure semantics.
+
+        ``next_hop`` is the address the link id was resolved from; it
+        only labels the trace.
+        """
+        size = self._trace_send(msg, next_hop)
         frame = Frame(
             src_link=self.link_id,
             dst_link=dst_link,
@@ -442,7 +436,7 @@ class Node:
             return
         self.unicast_link(
             link, msg, on_fail, on_success,
-            claimed_src=claimed_src, target_name=str(next_hop),
+            claimed_src=claimed_src, next_hop=next_hop,
         )
 
     def reset_soft_state(self) -> None:

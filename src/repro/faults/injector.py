@@ -101,9 +101,9 @@ class FaultInjector:
         return self.scenario.host(ref)
 
     def _note(self, node_name: str, text: str) -> None:
-        trace = self.scenario.ctx.trace
-        if trace.enabled:
-            trace.record(self.sim.now, node_name, "note", "FAULT", text)
+        self.scenario.ctx.trace.record(
+            self.sim.now, node_name, "note", "FAULT", text
+        )
 
     # -- crash / recover ---------------------------------------------------
     def _crash(self, event: dict) -> None:

@@ -12,6 +12,7 @@ visually when nodes are adjacent.
 
 from __future__ import annotations
 
+from repro.ipv6.address import IPv6Address
 from repro.trace.recorder import TraceEvent, TraceRecorder
 
 _COLUMN_WIDTH = 14
@@ -22,6 +23,7 @@ def render_sequence_chart(
     nodes: list[str],
     msg_types: set[str] | None = None,
     max_rows: int = 200,
+    addresses: dict[IPv6Address, str] | None = None,
 ) -> str:
     """Render sends as a downward-flowing sequence chart.
 
@@ -32,8 +34,14 @@ def render_sequence_chart(
     msg_types:
         Restrict to these message names (e.g. ``{"AREQ", "AREP"}``);
         None shows everything.
+    addresses:
+        Address -> node name, e.g. ``{h.ip: h.name for h in
+        scenario.hosts}``.  A traced unicast names its next hop by
+        address, so without this map it is drawn as a broadcast.
     """
     col = {name: i for i, name in enumerate(nodes)}
+    if addresses:
+        col.update((ip, col[name]) for ip, name in addresses.items() if name in col)
     width = _COLUMN_WIDTH
     header = "".join(name.center(width) for name in nodes)
     ruler = "".join("|".center(width) for _ in nodes)
@@ -54,13 +62,15 @@ def render_sequence_chart(
     return "\n".join(lines)
 
 
-def _render_send_row(ev: TraceEvent, col: dict[str, int], nodes: list[str], width: int) -> str:
-    """One arrow row.  ``ev.detail`` may embed '->target' to aim the arrow."""
+def _render_send_row(
+    ev: TraceEvent, col: dict[str | IPv6Address, int], nodes: list[str], width: int
+) -> str:
+    """One arrow row, aimed at the event's next hop or, failing that, at a
+    ``->name`` embedded in its detail."""
     src_idx = col[ev.node]
-    target = None
-    if "->" in ev.detail:
-        maybe = ev.detail.split("->", 1)[1].split()[0].strip()
-        target = col.get(maybe)
+    target = col.get(ev.next_hop)
+    if target is None and "->" in ev.detail:
+        target = col.get(ev.detail.split("->", 1)[1].split()[0])
     label = f"{ev.msg_type}@{ev.time:.3f}"
 
     if target is None or target == src_idx:

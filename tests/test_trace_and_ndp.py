@@ -1,8 +1,37 @@
 """Unit tests for the trace recorder, sequence rendering, and one-hop DAD."""
 
+import pytest
+
+from repro.messages.base import Message
 from repro.trace.recorder import TraceRecorder
 from repro.trace.sequence import render_sequence_chart, transcript
 from tests.conftest import chain_scenario
+
+
+@pytest.fixture
+def summary_calls(monkeypatch):
+    """Every message ``Message.summary`` formats, in call order."""
+    calls = []
+    summary = Message.summary
+
+    def counted(msg):
+        calls.append(msg)
+        return summary(msg)
+
+    monkeypatch.setattr(Message, "summary", counted)
+    return calls
+
+
+def bootstrap_and_exchange(enabled=True, capacity=None):
+    """A 4-host chain: ``bootstrap_all()``, then one DATA/ACK exchange
+    between the ends (three hops each way)."""
+    sc = chain_scenario(n=4, seed=7).build()
+    sc.trace.enabled, sc.trace.capacity = enabled, capacity
+    sc.bootstrap_all()
+    sc.send_data(sc.hosts[0], sc.hosts[3].ip, b"x")
+    sc.run(duration=5.0)
+    assert sc.metrics.summary()["data_acked"] == 1
+    return sc
 
 
 def test_recorder_basic_and_filters():
@@ -17,18 +46,45 @@ def test_recorder_basic_and_filters():
     assert "RREQ" in tr.dump()
 
 
-def test_recorder_capacity_bound():
+def test_recorder_capacity_bound(summary_calls):
     tr = TraceRecorder(capacity=2)
     for i in range(5):
         tr.record(float(i), "a", "send", "X", "d")
     assert len(tr.events) == 2
     assert tr.dropped == 3
+    # A full recorder still counts every message it turns away, and
+    # formats none of them.
+    full = bootstrap_and_exchange()
+    bounded = bootstrap_and_exchange(capacity=10)
+    assert len(bounded.trace.events) == 10
+    assert bounded.trace.dropped == len(full.trace.events) - 10
+    assert summary_calls == []
 
 
-def test_recorder_disabled():
+def test_recorder_disabled(summary_calls):
     tr = TraceRecorder(enabled=False)
     tr.record(0.0, "a", "send", "X", "d")
     assert tr.events == []
+    sc = bootstrap_and_exchange(enabled=False)
+    assert sc.trace.events == [] and sc.trace.dropped == 0
+    assert summary_calls == []
+
+
+def test_trace_formats_message_detail_on_first_read(summary_calls):
+    sc = bootstrap_and_exchange()
+    a, b = sc.hosts[0], sc.hosts[1]
+    assert summary_calls == []  # the run itself formats nothing
+    hop = next(e for e in sc.trace.events
+               if e.kind == "send" and e.msg_type == "DATA")
+    assert hop.node == a.name and hop.next_hop == b.ip
+    detail = hop.detail
+    assert summary_calls == [hop.payload]
+    assert hop.detail is detail and len(summary_calls) == 1  # cached
+    assert detail == f"{hop.payload.summary()} ->{b.ip}"
+    got = next(e for e in sc.trace.events
+               if e.kind == "recv" and e.msg_type == "DATA")
+    assert got.next_hop is None
+    assert got.detail == got.payload.summary()
 
 
 def test_recorder_clear():
@@ -45,7 +101,23 @@ def test_sequence_chart_renders_columns_and_arrows():
     chart = render_sequence_chart(tr, ["S", "I", "R"])
     assert "S" in chart.splitlines()[0]
     assert "*AREQ*" in chart       # broadcast row
-    assert "AREP" in chart         # directed arrow row
+    assert "< AREP@1.000" in chart  # directed arrow row
+
+
+def test_sequence_chart_draws_real_unicast_hops_as_arrows():
+    """A traced unicast names its next hop by address; the chart maps it
+    back to that host's column (all nine hops of one delivery)."""
+    sc = bootstrap_and_exchange()
+    chart = render_sequence_chart(
+        sc.trace, [h.name for h in sc.hosts], msg_types={"RREP", "DATA", "ACK"},
+        addresses={h.ip: h.name for h in sc.hosts},
+    )
+    rows = chart.splitlines()[2::2]
+    assert len(rows) == 9
+    assert not any("*" in row for row in rows)  # no broadcast rows
+    assert sum("< RREP@" in row for row in rows) == 3
+    assert sum("> DATA@" in row for row in rows) == 3
+    assert sum("< ACK@" in row for row in rows) == 3
 
 
 def test_sequence_chart_filters_by_type():
