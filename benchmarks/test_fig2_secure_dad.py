@@ -34,6 +34,7 @@ def _rig_collision(sc, joiner, victim, ch=4242, name=""):
 
 def test_fig2_duplicate_address_sequence():
     sc = bootstrapped(chain(5, seed=151))
+    sc.trace.enabled = True
     victim, joiner = sc.hosts[0], sc.hosts[4]   # 4 hops apart
     start = sc.sim.now
     _rig_collision(sc, joiner, victim)
@@ -59,6 +60,7 @@ def test_fig2_duplicate_address_sequence():
 
 def test_fig2_duplicate_name_sequence():
     sc = bootstrapped(chain(5, seed=157), names={"n0": "shared.manet"})
+    sc.trace.enabled = True
     joiner = sc.hosts[4]
     start = sc.sim.now
     # Fresh address (no collision) but the *name* is taken: DNS sends DREP.

@@ -15,6 +15,7 @@ from _harness import bootstrapped, chain
 
 def test_fig3_rreq_rrep_sequence():
     sc = bootstrapped(chain(5, seed=173))
+    sc.trace.enabled = True
     s, d = sc.hosts[0], sc.hosts[4]
     start = sc.sim.now
     s.router.discover(d.ip)
@@ -46,6 +47,7 @@ def test_fig3_rreq_rrep_sequence():
 
 def test_fig3_cached_route_reply_sequence():
     sc = bootstrapped(chain(5, seed=179))
+    sc.trace.enabled = True
     s_prime, s, d = sc.hosts[0], sc.hosts[1], sc.hosts[4]
 
     s.router.send_data(d.ip, b"prime the cache")

@@ -150,7 +150,6 @@ def _macro_run(fast: bool) -> tuple[dict, float, float]:
         .with_dns((0.0, 0.0))
         .build()
     )
-    sc.ctx.trace.enabled = False  # measure crypto, not trace recording
     build_s = time.perf_counter() - t0
     t0 = time.perf_counter()
     sc.bootstrap_all(stagger=0.02)

@@ -20,6 +20,7 @@ def measure(hops, router=None, seed=241):
     if router is not None:
         builder = builder.router(router)
     sc = bootstrapped(builder, settle=2.0)
+    sc.trace.enabled = True
     m = sc.metrics
     sign0, verify0 = m.crypto_total("sign"), m.crypto_total("verify")
 

@@ -70,6 +70,7 @@ def run_scenario(index: str, vectorized: bool):
         .random_waypoint()
         .build()
     )
+    sc.trace.enabled = True  # the recorder is off by default
     sc.bootstrap_all()
     a, z = sc.hosts[0], sc.hosts[-1]
     sc.send_data(a, z.ip, b"payload over the indexed medium")
@@ -94,6 +95,8 @@ def main() -> None:
     combos = list(itertools.product(("grid", "naive"), (True, False)))
     results = {c: run_scenario(*c) for c in combos}
     ref_summary, ref_trace = results[combos[0]]
+    if not ref_trace:
+        raise SystemExit("no trace recorded: nothing to compare")
     identical = all(
         summary == ref_summary and trace == ref_trace
         for summary, trace in results.values()

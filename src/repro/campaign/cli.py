@@ -30,10 +30,16 @@ trends   Render cross-campaign history (``BENCH_*.json`` scorecards +
          past ``report.json`` aggregates) as a sparkline dashboard;
          ``--html FILE`` additionally writes a static HTML export.
 compare  Diff two results files; exit 1 when regressions are found.
+explain  Replay one run of a finished campaign directory (by run id or
+         index) with the trace recorder on, check that the replayed
+         record equals its ``results.jsonl`` line, and print its trace
+         (``--node``/``--type`` filter it).  Exit 1 names the fields
+         where the replay diverged.
 
-Exit codes: 0 ok; 1 regression detected; 2 bad input; 3 runs failed;
-128+signum when a run/resume was interrupted by SIGINT/SIGTERM (the
-checkpoint is flushed first, so ``resume`` finishes the campaign).
+Exit codes: 0 ok; 1 regression detected (explain: replay diverged);
+2 bad input; 3 runs failed; 128+signum when a run/resume was
+interrupted by SIGINT/SIGTERM (the checkpoint is flushed first, so
+``resume`` finishes the campaign).
 """
 
 from __future__ import annotations
@@ -56,6 +62,7 @@ from repro.campaign.runner import (
     EXECUTOR_REGISTRY,
     CampaignInterrupted,
     CampaignRunner,
+    execute_run,
 )
 from repro.campaign.shard import parse_shard
 from repro.campaign.spec import CampaignSpec
@@ -250,6 +257,63 @@ def _cmd_compare(args) -> int:
     return 0
 
 
+def _field_diffs(stored, replayed, path: str = "") -> list[str]:
+    """One line per field where two records differ as canonical JSON
+    (empty exactly when their canonical JSON is equal)."""
+    if not (isinstance(stored, dict) and isinstance(replayed, dict)):
+        a = json.dumps(stored, sort_keys=True)
+        b = json.dumps(replayed, sort_keys=True)
+        return [] if a == b else [f"{path}: stored {a}, replayed {b}"]
+    lines = []
+    for key in sorted(set(stored) | set(replayed)):
+        field = f"{path}.{key}" if path else key
+        if key not in replayed:
+            lines.append(f"{field}: stored only")
+        elif key not in stored:
+            lines.append(f"{field}: replayed only")
+        else:
+            lines += _field_diffs(stored[key], replayed[key], field)
+    return lines
+
+
+def _cmd_explain(args) -> int:
+    spec = CampaignSpec.from_file(os.path.join(args.dir, "spec.json"))
+    runs = [r.to_dict() for r in spec.expand()]
+    run = next((r for r in runs
+                if args.run in (r["run_id"], str(r["index"]))), None)
+    if run is None:
+        print(f"error: {args.dir} has no run {args.run!r} (give a run id "
+              f"or an index 0..{len(runs) - 1})", file=sys.stderr)
+        return 2
+    stored = next((r for r in load_results(args.dir)
+                   if r.get("index") == run["index"]), None)
+    if stored is None:
+        print(f"error: {run['run_id']} has no record in {args.dir}/results.jsonl",
+              file=sys.stderr)
+        return 2
+
+    traces = []
+
+    def record_trace(scenario) -> None:
+        scenario.trace.enabled = True
+        traces.append(scenario.trace)
+
+    replayed = execute_run(run, on_build=record_trace)
+    diffs = _field_diffs(stored, replayed)
+    if diffs:
+        print(f"error: replay of {run['run_id']} diverged from results.jsonl:",
+              file=sys.stderr)
+        for line in diffs:
+            print(f"  {line}", file=sys.stderr)
+        return 1
+    events = traces[0].filter(node=args.node, msg_type=args.type) if traces else []
+    print(f"{run['run_id']}: replay matches results.jsonl; "
+          f"{len(events)} trace events", file=sys.stderr)
+    for event in events:
+        print(event)
+    return 0
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.campaign",
@@ -367,6 +431,19 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also fail when the run matrix drifted "
                             "(removed/mismatched/zero matched runs)")
     p_cmp.set_defaults(func=_cmd_compare)
+
+    p_explain = sub.add_parser(
+        "explain",
+        help="replay one run with the trace recorder on, check it against "
+             "results.jsonl, and print its trace")
+    p_explain.add_argument("dir", help="campaign output directory "
+                                       "(spec.json + results.jsonl)")
+    p_explain.add_argument("run", help="run id (e.g. reference-0004) or index")
+    p_explain.add_argument("--node", default=None, metavar="NAME",
+                           help="only this node's events (e.g. n2, dns, medium)")
+    p_explain.add_argument("--type", default=None, metavar="MSG",
+                           help="only this message type (e.g. RREQ, DATA, FAULT)")
+    p_explain.set_defaults(func=_cmd_explain)
     return parser
 
 

@@ -249,8 +249,10 @@ def _start_workload(scenario, hosts: list, workload: dict, seed: int) -> list:
     return flows
 
 
-def _run_body(run: dict) -> dict:
+def _run_body(run: dict, on_build=None) -> dict:
     scenario = ScenarioBuilder.from_spec(run["scenario"]).build()
+    if on_build is not None:
+        on_build(scenario)
     honest = list(scenario.hosts)
     for adversary in run.get("adversaries", []):
         _add_adversary(scenario, adversary)
@@ -279,13 +281,18 @@ def _run_body(run: dict) -> dict:
     return summary
 
 
-def execute_run(run: dict) -> dict:
+def execute_run(run: dict, on_build=None) -> dict:
     """Execute one serialized :class:`RunSpec`; never raises.
 
     Returns a flat record: identification fields plus either the run
     summary (``status == "ok"``) or an error string.  Records contain
     no wall-clock values, so reruns of the same spec+seed are
     byte-identical.
+
+    ``on_build(scenario)``, when given, is called with the freshly built
+    scenario before anything runs; ``campaign explain`` uses it to turn
+    the trace recorder on for a replay.  Observation never changes the
+    record.
     """
     record = {
         "run_id": run["run_id"],
@@ -297,7 +304,10 @@ def execute_run(run: dict) -> dict:
     }
     try:
         with deadline(run.get("timeout")):
-            record["summary"] = _run_body(run)
+            # A plain run calls _run_body(run): stubs and wrappers of
+            # _run_body (tests, perfbench) are written for that call.
+            record["summary"] = (_run_body(run) if on_build is None
+                                 else _run_body(run, on_build))
     except RunTimeout as exc:
         record["status"] = "timeout"
         record["error"] = str(exc)

@@ -5,6 +5,11 @@ node: the simulation kernel, the shared medium, the metrics collector,
 the trace recorder, and the network-wide DNS trust anchor (the DNS
 server's public key, which the paper assumes "has been securely
 distributed to all mobile nodes prior to network formation").
+
+The trace recorder starts disabled: a run stores no event, and keeps
+no message alive, unless someone turns it on with
+``scenario.trace.enabled = True`` (``python -m repro.campaign explain``
+replays a campaign run that way).
 """
 
 from __future__ import annotations
@@ -27,7 +32,9 @@ class NetContext:
     sim: Simulator
     medium: WirelessMedium
     metrics: MetricsCollector = field(default_factory=MetricsCollector)
-    trace: TraceRecorder = field(default_factory=TraceRecorder)
+    trace: TraceRecorder = field(
+        default_factory=lambda: TraceRecorder(enabled=False)
+    )
     #: The pre-distributed DNS public key -- the system's only a-priori
     #: security state.  Set by the scenario builder when the DNS server
     #: node is created, before any host bootstraps.

@@ -47,18 +47,16 @@ def render_sequence_chart(
     ruler = "".join("|".center(width) for _ in nodes)
     lines = [header, ruler]
 
-    rows = 0
-    for ev in trace.events:
-        if ev.kind != "send" or ev.node not in col:
-            continue
-        if msg_types is not None and ev.msg_type not in msg_types:
-            continue
-        rows += 1
-        if rows > max_rows:
-            lines.append(f"... ({rows - max_rows} more rows)")
-            break
+    sends = [
+        ev for ev in trace.events
+        if ev.kind == "send" and ev.node in col
+        and (msg_types is None or ev.msg_type in msg_types)
+    ]
+    for ev in sends[:max_rows]:
         lines.append(_render_send_row(ev, col, nodes, width))
         lines.append(ruler)
+    if len(sends) > max_rows:
+        lines.append(f"... ({len(sends) - max_rows} more rows)")
     return "\n".join(lines)
 
 

@@ -9,11 +9,12 @@ from tests.conftest import two_path_scenario
 
 
 def run_blackhole(router=None, hostile=True, seed=5, count=20, forge=False,
-                  churn=False, **config):
+                  churn=False, trace=False, **config):
     builder = two_path_scenario(seed=seed, hostile_mode=hostile, **config)
     if router is not None:
         builder = builder.router(router)
     sc = builder.build()
+    sc.trace.enabled = trace
     if churn:
         bh = add_identity_churner(sc, (200, 0), churn_interval=15.0)
     else:
@@ -40,7 +41,7 @@ def test_secure_protocol_detects_and_routes_around_blackhole():
 
 def test_blackhole_starved_after_detection():
     """After the penalty, the black hole stops seeing data traffic."""
-    sc, bh, traffic = run_blackhole(count=30)
+    sc, bh, traffic = run_blackhole(count=30, trace=True)
     drops_by_time = [
         e.time for e in sc.trace.events
         if e.node == "blackhole" and e.kind == "note" and "dropped" in e.detail

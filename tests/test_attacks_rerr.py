@@ -7,7 +7,8 @@ from repro.scenarios.workloads import CBRTraffic
 from tests.conftest import two_path_scenario
 
 
-def run_spammer(seed=5, also_drop=False, count=20, hostile=False, **config):
+def run_spammer(seed=5, also_drop=False, count=20, hostile=False, trace=False,
+                **config):
     """Normal (shortest-first) mode by default: the spammer sits on the
     shortest route and keeps being re-selected after every report, which
     is the regime the paper's RERR-frequency tracking is designed for.
@@ -20,6 +21,7 @@ def run_spammer(seed=5, also_drop=False, count=20, hostile=False, **config):
     """
     config.setdefault("route_cache_ttl", 4.0)
     sc = two_path_scenario(seed=seed, hostile_mode=hostile, **config).build()
+    sc.trace.enabled = trace
     spammer = add_rerr_spammer(sc, (200.0, 0.0), also_drop=also_drop)
     sc.bootstrap_all()
     a, b = sc.hosts[0], sc.hosts[1]
@@ -54,7 +56,7 @@ def test_spam_plus_drop_still_recovers():
 
 def test_spammer_starved_after_suspicion():
     """Once suspected, routes through the spammer stop being chosen."""
-    sc, spammer, traffic = run_spammer(count=30)
+    sc, spammer, traffic = run_spammer(count=30, trace=True)
     spam_times = [
         e.time for e in sc.trace.events
         if e.node == "spammer" and e.kind == "send" and e.msg_type == "RERR"

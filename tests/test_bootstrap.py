@@ -117,6 +117,7 @@ def test_forged_arep_does_not_stop_dad():
 def test_replayed_arep_rejected_by_challenge():
     """An AREP recorded in one round cannot answer a later round's challenge."""
     sc = chain_scenario(n=2, seed=19).build()
+    sc.trace.enabled = True
     victim, joiner = sc.hosts[0], sc.hosts[1]
     sc.sim.schedule(0.0, victim.bootstrap.start, "")
     sc.run(duration=5.0)
@@ -161,6 +162,7 @@ def test_replayed_arep_rejected_by_challenge():
 def test_unconfigured_nodes_do_not_relay():
     """A flood cannot be relayed by hosts that have no address yet."""
     sc = chain_scenario(n=3, seed=23).build()
+    sc.trace.enabled = True
     # Nobody bootstrapped: n0's AREQ reaches only n1, which must stay quiet.
     sc.hosts[0].bootstrap.start("")
     sc.run(duration=1.0)

@@ -1,7 +1,10 @@
 """Campaign engine: expansion, execution, aggregation, baselines, CLI."""
 
 import json
+import re
+import shutil
 import time
+from pathlib import Path
 
 import pytest
 
@@ -465,3 +468,58 @@ def test_cli_run_report_compare(tmp_path, capsys):
     write_jsonl(tmp_path / "better.jsonl", records)
     assert main(["compare", str(tmp_path / "better.jsonl"),
                  str(out / "results.jsonl")]) == 1
+
+
+# -- explain: replay one run with the trace on -------------------------------
+
+REFERENCE_FAULTS = Path(__file__).resolve().parent.parent / "campaigns" / "reference-faults"
+
+
+@pytest.fixture
+def faults_campaign(tmp_path):
+    return shutil.copytree(REFERENCE_FAULTS, tmp_path / "reference-faults")
+
+
+def _trace_node(line: str) -> str:
+    """The node column of a ``TraceEvent`` line."""
+    return re.match(r"\[\s*[\d.]+\] +(\S+) ", line).group(1)
+
+
+def test_cli_explain_replays_a_run_and_prints_its_trace(faults_campaign, capsys):
+    from repro.campaign.cli import main
+
+    assert main(["explain", str(faults_campaign), "reference-faults-0004"]) == 0
+    faults = [line for line in capsys.readouterr().out.splitlines()
+              if " FAULT " in line]
+    assert any("crash" in line for line in faults)
+    assert any("partition" in line for line in faults)
+
+    # by index, filtered to one node
+    assert main(["explain", str(faults_campaign), "4", "--node", "n2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines and all(_trace_node(line) == "n2" for line in lines)
+    assert any(" FAULT crash" in line for line in lines)
+
+
+def test_cli_explain_names_the_field_a_replay_diverges_on(faults_campaign, capsys):
+    from repro.campaign.cli import main
+
+    results = faults_campaign / "results.jsonl"
+    records = load_results(results)
+    records[4]["summary"]["data_delivered"] += 1
+    write_jsonl(results, records)
+
+    assert main(["explain", str(faults_campaign), "reference-faults-0004"]) == 1
+    captured = capsys.readouterr()
+    assert "summary.data_delivered" in captured.err
+    assert captured.out == ""  # no trace for a run that did not replay
+    # the untouched runs still replay
+    assert main(["explain", str(faults_campaign), "reference-faults-0005"]) == 0
+
+
+def test_cli_explain_rejects_an_unknown_run(faults_campaign, tmp_path, capsys):
+    from repro.campaign.cli import main
+
+    assert main(["explain", str(faults_campaign), "reference-faults-0099"]) == 2
+    assert "reference-faults-0099" in capsys.readouterr().err
+    assert main(["explain", str(tmp_path / "missing"), "0"]) == 2

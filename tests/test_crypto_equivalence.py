@@ -54,6 +54,7 @@ def fingerprint(scenario) -> dict:
 
 def assert_all_identical(fingerprints: dict) -> None:
     (ref_combo, ref), *rest = fingerprints.items()
+    assert ref["trace"], "empty trace: the comparison would be vacuous"
     for combo, fp in rest:
         for key in ref:
             assert fp[key] == ref[key], (
@@ -72,6 +73,7 @@ def run_lossy_grid(combo) -> dict:
         .config(verify_at_intermediate=True, **crypto_flags(combo))
         .build()
     )
+    sc.trace.enabled = True
     sc.bootstrap_all()
     a, z = sc.hosts[0], sc.hosts[-1]
     for k in range(5):
@@ -90,6 +92,7 @@ def run_mobile_with_churn(combo) -> dict:
         .config(**crypto_flags(combo))
         .build()
     )
+    sc.trace.enabled = True
     churn = ChurnModel(
         sc.sim, sc.medium, [h.link_id for h in sc.hosts],
         interval=5.0, min_present=4,
@@ -109,6 +112,7 @@ def run_forger(combo) -> dict:
     may never let the forged hop through."""
     sc = two_path_scenario(seed=59, verify_at_intermediate=True,
                            **crypto_flags(combo)).build()
+    sc.trace.enabled = True
     victim = sc.hosts[2]
     sc.bootstrap_all()
     forger = add_forger(sc, (200.0, 0.0), spoof_hop_ip=victim.ip)
@@ -124,6 +128,7 @@ def run_replayer(combo) -> dict:
     """Replayed RREPs carry valid signatures over stale sequence numbers:
     a cached *positive* verdict must still be rejected as stale."""
     sc = chain_scenario(n=4, seed=47, **crypto_flags(combo)).build()
+    sc.trace.enabled = True
     add_replayer(sc, (300.0, 120.0))
     sc.bootstrap_all()
     a, b = sc.hosts[0], sc.hosts[3]
@@ -142,6 +147,7 @@ def run_dns_impersonator(combo) -> dict:
     from repro.ipv6.cga import cga_address
 
     sc = chain_scenario(n=4, seed=67, **crypto_flags(combo)).build()
+    sc.trace.enabled = True
     sc.bootstrap_all(names={"n3": "bob.manet"})
     sc.run(duration=8.0)
     mallory_answer = cga_address(sc.hosts[1].public_key, rn=123)

@@ -103,6 +103,7 @@ def test_determinism_end_to_end():
     """Identical seeds produce byte-identical histories."""
     def run_once():
         sc = chain_scenario(n=4, seed=131).build()
+        sc.trace.enabled = True
         sc.bootstrap_all(names={"n0": "a.manet"})
         t = CBRTraffic(sc.hosts[0], sc.hosts[3].ip, interval=1.0, count=5)
         sc.run(duration=20.0)
@@ -110,11 +111,13 @@ def test_determinism_end_to_end():
             [str(h.ip) for h in sc.hosts],
             dict(sc.metrics.verdicts),
             sc.metrics.msgs_sent["RREQ"],
-            len(sc.trace.events),
+            sc.trace.dump(),
             t.delivered,
         )
 
-    assert run_once() == run_once()
+    first = run_once()
+    assert first[3]  # a non-empty trace
+    assert first == run_once()
 
 
 def test_crypto_delay_charging_slows_transmissions():

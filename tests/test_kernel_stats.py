@@ -52,6 +52,7 @@ def test_handler_kind_uses_qualname():
 
 def _run_reference_scenario(instrumented: bool):
     scenario = chain_scenario(n=4, seed=7).build()
+    scenario.trace.enabled = True  # the trace is part of what is compared
     if instrumented:
         scenario.enable_kernel_stats()
     scenario.bootstrap_all()
@@ -78,8 +79,9 @@ def test_instrumented_run_is_observation_identical():
     assert "kernel_stats" not in plain_summary
     assert inst_summary == plain_summary
 
-    assert [str(e) for e in plain.trace.filter()] == \
-           [str(e) for e in instrumented.trace.filter()]
+    plain_trace = [str(e) for e in plain.trace.filter()]
+    assert plain_trace
+    assert plain_trace == [str(e) for e in instrumented.trace.filter()]
     assert plain.sim.now == instrumented.sim.now
     assert plain.sim.events_executed == instrumented.sim.events_executed
 

@@ -44,6 +44,7 @@ def run_static(index: str) -> dict:
         .medium(index)
         .build()
     )
+    sc.trace.enabled = True
     sc.bootstrap_all()
     a, z = sc.hosts[0], sc.hosts[-1]
     for k in range(5):
@@ -62,6 +63,7 @@ def run_mobile_with_churn(index: str) -> dict:
         .random_waypoint(speed=(2.0, 8.0), pause=2.0)
         .build()
     )
+    sc.trace.enabled = True
     churn = ChurnModel(
         sc.sim, sc.medium, [h.link_id for h in sc.hosts],
         interval=5.0, min_present=4,
@@ -79,6 +81,7 @@ def assert_identical(grid: dict, naive: dict) -> None:
     assert grid["summary"] == naive["summary"]
     assert grid["medium"] == naive["medium"]
     assert grid["events"] == naive["events"]
+    assert grid["trace"], "empty trace: the comparison would be vacuous"
     assert grid["trace"] == naive["trace"]
 
 

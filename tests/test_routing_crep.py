@@ -1,7 +1,5 @@
 """Integration tests for cached route replies (CREP, Section 3.3)."""
 
-import pytest
-
 from tests.conftest import chain_scenario
 
 
@@ -115,6 +113,7 @@ def test_crep_loop_splice_falls_back_to_relay():
 def test_stale_crep_rejected():
     """A CREP answering no live discovery (wrong seq) is rejected."""
     sc = chain_scenario(n=5, seed=7).build()
+    sc.trace.enabled = True
     sc.bootstrap_all()
     s_prime, s, d = sc.hosts[0], sc.hosts[1], sc.hosts[4]
     s.router.send_data(d.ip, b"warm-up")
@@ -123,8 +122,7 @@ def test_stale_crep_rejected():
     sc.run(duration=10.0)
     creps = [e.payload for e in sc.trace.events
              if e.kind == "recv" and e.msg_type == "CREP" and e.node == s_prime.name]
-    if not creps:
-        pytest.skip("no CREP captured in this topology/seed")
+    assert creps, "no CREP captured in this topology/seed"
     # Replay the old CREP after its grace window expired.
     sc.run(duration=5.0)
     from repro.phy.medium import Frame

@@ -126,6 +126,7 @@ def test_data_to_unconfigured_source_raises():
 def test_duplicate_data_delivery_suppressed():
     """Retransmitted packets deliver the payload to the app only once."""
     sc = bootstrapped(n=3)
+    sc.trace.enabled = True
     a, b = sc.hosts[0], sc.hosts[2]
     seen = []
     from repro.messages.dns import DNSQuery  # any app message works

@@ -93,6 +93,7 @@ def test_discovery_retries_then_fails_for_unreachable():
     from repro.ipv6.address import IPv6Address
 
     sc = bootstrapped(n=3, rreq_timeout=0.5, rreq_max_retries=2)
+    sc.trace.enabled = True
     a = sc.hosts[0]
     phantom = IPv6Address("fec0::dead:beef")
     failures = []
@@ -109,6 +110,7 @@ def test_discovery_retries_then_fails_for_unreachable():
 
 def test_plain_dsr_discovers_without_signatures():
     sc = bootstrapped(n=4, router=PlainDSRRouter)
+    sc.trace.enabled = True
     a, b = sc.hosts[0], sc.hosts[3]
     a.router.discover(b.ip)
     sc.run(duration=5.0)
@@ -122,6 +124,7 @@ def test_plain_dsr_discovers_without_signatures():
 
 def test_endpoint_only_router_skips_hop_signatures():
     sc = bootstrapped(n=4, router=EndpointOnlyRouter)
+    sc.trace.enabled = True
     a, b = sc.hosts[0], sc.hosts[3]
     a.router.discover(b.ip)
     sc.run(duration=5.0)
@@ -139,6 +142,7 @@ def test_endpoint_only_router_skips_hop_signatures():
 
 def test_duplicate_rreqs_not_rebroadcast():
     sc = bootstrapped(n=5)
+    sc.trace.enabled = True
     a, b = sc.hosts[0], sc.hosts[4]
     a.router.discover(b.ip)
     sc.run(duration=5.0)
@@ -147,6 +151,7 @@ def test_duplicate_rreqs_not_rebroadcast():
     for e in sc.trace.events:
         if e.kind == "send" and e.msg_type == "RREQ":
             sends[e.node] = sends.get(e.node, 0) + 1
+    assert len(sends) == 5, sends  # n0 plus the 3 intermediates and dns
     assert all(count == 1 for count in sends.values()), sends
 
 

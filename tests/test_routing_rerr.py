@@ -107,6 +107,7 @@ def test_rerr_with_forged_identity_rejected():
 def test_replayed_rerr_after_route_rediscovery_is_harmless():
     """Replaying an old RERR can only re-kill an already-dead route."""
     sc = bootstrapped(n=5)
+    sc.trace.enabled = True
     a, b = sc.hosts[0], sc.hosts[4]
     a.router.send_data(b.ip, b"warm-up")
     sc.run(duration=5.0)

@@ -22,14 +22,20 @@ def summary_calls(monkeypatch):
     return calls
 
 
-def bootstrap_and_exchange(enabled=True, capacity=None):
+def bootstrap_and_exchange(**recorder):
     """A 4-host chain: ``bootstrap_all()``, then one DATA/ACK exchange
-    between the ends (three hops each way)."""
+    between the ends (three hops each way).  ``recorder`` attributes
+    (``enabled``, ``capacity``) are set on the trace right after
+    ``build()``; the rest keep the scenario's defaults."""
     sc = chain_scenario(n=4, seed=7).build()
-    sc.trace.enabled, sc.trace.capacity = enabled, capacity
+    for attr, value in recorder.items():
+        setattr(sc.trace, attr, value)
     sc.bootstrap_all()
     sc.send_data(sc.hosts[0], sc.hosts[3].ip, b"x")
     sc.run(duration=5.0)
+    # close the encode window: these scenarios run one after another
+    # in one process (see MetricsCollector.freeze)
+    sc.metrics.freeze()
     assert sc.metrics.summary()["data_acked"] == 1
     return sc
 
@@ -54,8 +60,8 @@ def test_recorder_capacity_bound(summary_calls):
     assert tr.dropped == 3
     # A full recorder still counts every message it turns away, and
     # formats none of them.
-    full = bootstrap_and_exchange()
-    bounded = bootstrap_and_exchange(capacity=10)
+    full = bootstrap_and_exchange(enabled=True)
+    bounded = bootstrap_and_exchange(enabled=True, capacity=10)
     assert len(bounded.trace.events) == 10
     assert bounded.trace.dropped == len(full.trace.events) - 10
     assert summary_calls == []
@@ -70,8 +76,29 @@ def test_recorder_disabled(summary_calls):
     assert summary_calls == []
 
 
-def test_trace_formats_message_detail_on_first_read(summary_calls):
+def test_scenario_records_nothing_by_default(summary_calls):
+    """The recorder is off unless a reader turns it on: a whole run
+    stores no event, so it keeps no message alive."""
     sc = bootstrap_and_exchange()
+    assert not sc.trace.enabled
+    assert sc.trace.events == [] and sc.trace.dropped == 0
+    assert summary_calls == []
+
+
+def test_recording_does_not_change_results():
+    # warm the process-global wire-encode cache first: the first
+    # scenario in a process pays extra encode_calls (as in
+    # test_kernel_stats.py), which would masquerade as a trace effect
+    bootstrap_and_exchange()
+    off = bootstrap_and_exchange()
+    on = bootstrap_and_exchange(enabled=True)
+    assert on.trace.events and not off.trace.events
+    assert on.metrics.summary() == off.metrics.summary()
+    assert on.sim.events_executed == off.sim.events_executed
+
+
+def test_trace_formats_message_detail_on_first_read(summary_calls):
+    sc = bootstrap_and_exchange(enabled=True)
     a, b = sc.hosts[0], sc.hosts[1]
     assert summary_calls == []  # the run itself formats nothing
     hop = next(e for e in sc.trace.events
@@ -107,7 +134,7 @@ def test_sequence_chart_renders_columns_and_arrows():
 def test_sequence_chart_draws_real_unicast_hops_as_arrows():
     """A traced unicast names its next hop by address; the chart maps it
     back to that host's column (all nine hops of one delivery)."""
-    sc = bootstrap_and_exchange()
+    sc = bootstrap_and_exchange(enabled=True)
     chart = render_sequence_chart(
         sc.trace, [h.name for h in sc.hosts], msg_types={"RREP", "DATA", "ACK"},
         addresses={h.ip: h.name for h in sc.hosts},
@@ -118,6 +145,17 @@ def test_sequence_chart_draws_real_unicast_hops_as_arrows():
     assert sum("< RREP@" in row for row in rows) == 3
     assert sum("> DATA@" in row for row in rows) == 3
     assert sum("< ACK@" in row for row in rows) == 3
+
+
+def test_sequence_chart_counts_every_truncated_row():
+    tr = TraceRecorder()
+    for i in range(7):
+        tr.record(float(i), "S", "send", "RREQ", "x")
+    tr.record(7.0, "S", "recv", "RREQ", "x")  # not a row
+    chart = render_sequence_chart(tr, ["S"], max_rows=2)
+    assert chart.count("*RREQ*") == 2
+    assert chart.endswith("... (5 more rows)")
+    assert "more rows" not in render_sequence_chart(tr, ["S"], max_rows=7)
 
 
 def test_sequence_chart_filters_by_type():

@@ -6,7 +6,8 @@ byte -- times, nodes, message summaries and the `` ->next-hop`` suffix
 of unicast hops -- across bootstrap with DNS registration, route
 discovery with DATA/ACK, three adversaries and a fault plan, so a
 change to what the trace records, or to the text it formats, fails
-here.
+here.  The recorder is off by default, so each scenario turns it on
+right after ``build()``, which records nothing.
 """
 
 import hashlib
@@ -20,6 +21,7 @@ from tests.conftest import chain_scenario, two_path_scenario
 
 def bootstrap_with_dns():
     sc = chain_scenario(n=4, seed=7).build()
+    sc.trace.enabled = True
     sc.bootstrap_all(names={h.name: f"{h.name}.manet" for h in sc.hosts})
     assert all(h.domain_name for h in sc.hosts)
     return sc
@@ -27,6 +29,7 @@ def bootstrap_with_dns():
 
 def discovery_and_data():
     sc = chain_scenario(n=4, seed=11).build()
+    sc.trace.enabled = True
     sc.bootstrap_all()
     a, z = sc.hosts[0], sc.hosts[3]
     for k in range(3):
@@ -41,6 +44,7 @@ def discovery_and_data():
 def rsa_hop_forger():
     sc = two_path_scenario(seed=59, crypto_backend="rsa",
                            verify_at_intermediate=True).build()
+    sc.trace.enabled = True
     victim = sc.hosts[2]
     sc.bootstrap_all()
     forger = add_forger(sc, (200.0, 0.0), spoof_hop_ip=victim.ip)
@@ -55,6 +59,7 @@ def rsa_hop_forger():
 
 def replayer():
     sc = chain_scenario(n=4, seed=47).build()
+    sc.trace.enabled = True
     add_replayer(sc, (300.0, 120.0))
     sc.bootstrap_all()
     a, b = sc.hosts[0], sc.hosts[3]
@@ -69,6 +74,7 @@ def replayer():
 
 def blackhole():
     sc = two_path_scenario(seed=5, hostile_mode=True).build()
+    sc.trace.enabled = True
     bh = add_blackhole(sc, (200, 0))
     sc.bootstrap_all()
     a, b = sc.hosts[0], sc.hosts[1]
@@ -84,6 +90,7 @@ def corrupt_and_partition():
         {"kind": "partition", "at": 3.0, "duration": 2.0,
          "members": [[0, 1], [2, 3]]},
     ]}).build()
+    sc.trace.enabled = True
     sc.bootstrap_all()
     a, z = sc.hosts[0], sc.hosts[3]
     for k in range(6):
