@@ -29,8 +29,8 @@ import os
 import tempfile
 
 from repro.campaign import CampaignRunner, CampaignSpec, merge_shards
+from repro.campaign.checkpoint import load_shard_manifest
 from repro.campaign.merge import discover_shard_dirs
-from repro.campaign.shard import load_shard_manifest
 
 
 def campaign_spec(fast: bool) -> dict:

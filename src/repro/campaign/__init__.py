@@ -18,12 +18,16 @@ first-class artifact:
   timeout/failure isolation.  Worker count, batch size, executor
   backend, resume interruption points, and shard splits never change
   results;
+* :class:`~repro.campaign.checkpoint.Checkpoint` is the one place that
+  decides which records a campaign directory holds: ``run`` is an empty
+  checkpoint plus its gaps, ``resume`` a loaded one plus its gaps, a
+  shard a checkpoint owning one slice of the matrix, and ``merge`` a
+  union of shard checkpoints -- all under one conflict rule (identical
+  copies kept once, differing copies quarantined and re-run);
 * :mod:`~repro.campaign.shard` partitions the matrix deterministically
-  across hosts (``campaign run --shard i/N``), each shard writing a
-  crash-safe checkpoint with a provenance manifest, and
-  :mod:`~repro.campaign.merge` fuses those checkpoints back into one
-  artifact byte-identical to a single-host run (conflicts quarantined,
-  gaps resumable);
+  across hosts (``campaign run --shard i/N``), and
+  :mod:`~repro.campaign.merge` fuses the shard checkpoints back into
+  one artifact byte-identical to a single-host run (gaps resumable);
 * :mod:`~repro.campaign.aggregate` persists per-run summaries as JSONL
   (with a recovery parser for in-flight/crashed files) and reduces
   them to a grouped report;
@@ -34,11 +38,9 @@ first-class artifact:
 """
 
 from repro.campaign.aggregate import (
-    SUMMARY_MODES,
     StreamingAggregator,
     aggregate,
     load_results,
-    load_results_partial,
     read_jsonl_partial,
     report_text,
     tail_jsonl,
@@ -47,6 +49,13 @@ from repro.campaign.aggregate import (
     write_report_artifacts,
 )
 from repro.campaign.baseline import compare, comparison_text
+from repro.campaign.checkpoint import (
+    Checkpoint,
+    CheckpointError,
+    fingerprint_digest,
+    load_shard_manifest,
+    spec_fingerprint,
+)
 from repro.campaign.merge import (
     MergeError,
     discover_shard_dirs,
@@ -64,25 +73,19 @@ from repro.campaign.runner import (
     execute_run,
     run_campaign,
 )
-from repro.campaign.shard import (
-    fingerprint_digest,
-    load_shard_manifest,
-    parse_shard,
-    shard_payloads,
-    spec_fingerprint,
-    write_shard_manifest,
-)
+from repro.campaign.shard import parse_shard, shard_payloads
 from repro.campaign.spec import CampaignSpec, RunSpec
 
 __all__ = [
     "CampaignRunner",
     "CampaignSpec",
+    "Checkpoint",
+    "CheckpointError",
     "EXECUTOR_REGISTRY",
     "InlineExecutor",
     "LocalExecutor",
     "MergeError",
     "RunSpec",
-    "SUMMARY_MODES",
     "StreamingAggregator",
     "aggregate",
     "auto_batch_size",
@@ -94,7 +97,6 @@ __all__ = [
     "execute_run",
     "fingerprint_digest",
     "load_results",
-    "load_results_partial",
     "load_shard_manifest",
     "merge_shards",
     "parse_shard",
@@ -108,5 +110,4 @@ __all__ = [
     "write_json_artifact",
     "write_jsonl",
     "write_report_artifacts",
-    "write_shard_manifest",
 ]

@@ -2,7 +2,7 @@
 
 Records are grouped by their sweep parameters (replicates of the same
 grid point share a group) and each numeric summary column is reduced to
-mean/min/max (plus p50/p95 under ``summary_mode="sketch"``).
+mean/min/max.
 Everything is JSON-clean and deterministically ordered, so reports diff
 cleanly across PRs and double as regression baselines.
 
@@ -21,12 +21,9 @@ from __future__ import annotations
 import json
 import os
 
+from repro.campaign.spec import check_summary_mode
 from repro.metrics.reports import format_table
 from repro.obs.sketch import MetricSketch
-
-#: Recognized ``summary_mode`` values: ``exact`` reports mean/min/max,
-#: ``sketch`` adds constant-memory p50/p95/count per column.
-SUMMARY_MODES = ("exact", "sketch")
 
 #: Columns shown in the human-readable report table (all columns are
 #: still present in ``report.json``).
@@ -40,26 +37,18 @@ TABLE_METRICS = [
 ]
 
 
-def write_jsonl(path, records: list[dict], fsync: bool = False) -> None:
-    """One sorted-key JSON object per line; byte-stable for diffing.
-
-    ``fsync=True`` forces the lines to disk before returning, for
-    writers (the streaming runner's finalize step) that must survive a
-    crash immediately after.
-    """
+def write_jsonl(path, records: list[dict]) -> None:
+    """One sorted-key JSON object per line; byte-stable for diffing."""
     with open(path, "w", encoding="utf-8") as fh:
         for record in records:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
-        if fsync:
-            fh.flush()
-            os.fsync(fh.fileno())
 
 
 def write_json_artifact(path, data) -> None:
     """Canonical pretty-printed JSON artifact (``indent=2, sort_keys``).
 
     The one serializer behind ``spec.json``/``report.json`` wherever
-    they are written (runner finalize, ``campaign merge``), so the
+    they are written (checkpoint begin and finalize), so the
     byte-identity contract between a merged and a single-host campaign
     can never be broken by formatting drift.
     """
@@ -177,18 +166,6 @@ def load_results(path) -> list[dict]:
     return read_jsonl(path)
 
 
-def load_results_partial(path) -> tuple[list[dict], list[str]]:
-    """Tolerant :func:`load_results`: accepts an in-flight campaign.
-
-    Used by ``report`` on a streaming/interrupted campaign and by
-    ``resume``; returns ``(records, warnings)`` where warnings describe
-    any torn tail that was discarded.
-    """
-    if os.path.isdir(path):
-        path = os.path.join(path, "results.jsonl")
-    return read_jsonl_partial(path)
-
-
 def group_key(record: dict) -> str:
     """Stable grouping key: the sweep parameters, canonically encoded."""
     return json.dumps(record.get("params", {}), sort_keys=True)
@@ -202,22 +179,14 @@ class StreamingAggregator:
     the same bytes, because per-column state is a
     :class:`~repro.obs.sketch.MetricSketch` (exactly-rounded mean,
     exact min/max) rather than a buffered value list, and failed-run
-    entries are emitted sorted by run index.  The one order-sensitive
-    corner is sketch-mode quantiles beyond the exact buffer
-    (:class:`~repro.obs.sketch.StreamingQuantile`): P^2 marker state
-    depends on insertion order, so huge-group p50/p95 are
-    deterministic only for a fixed feed order (the runner always
-    aggregates the finalized, index-sorted records).
+    entries are emitted sorted by run index.
 
     Memory is O(groups x columns + failures), independent of run count.
+    ``mode`` exists for old callers: only ``"exact"`` is accepted.
     """
 
     def __init__(self, mode: str = "exact"):
-        if mode not in SUMMARY_MODES:
-            raise ValueError(
-                f"unknown summary_mode {mode!r} (expected one of {SUMMARY_MODES})"
-            )
-        self.mode = mode
+        check_summary_mode(mode)
         self._groups: dict[str, dict] = {}
         self._failed: list[tuple] = []
         self._runs = 0
@@ -264,7 +233,6 @@ class StreamingAggregator:
 
     def report(self) -> dict:
         """The aggregate report over everything added so far."""
-        sketch_mode = self.mode == "sketch"
         groups = []
         for key in sorted(self._groups):
             group = self._groups[key]
@@ -272,11 +240,11 @@ class StreamingAggregator:
                 "params": json.loads(key),
                 "runs": group["runs"],
                 "metrics": {
-                    name: group["columns"][name].stats(sketch=sketch_mode)
+                    name: group["columns"][name].stats()
                     for name in sorted(group["columns"])
                 },
             })
-        report = {
+        return {
             "runs": self._runs,
             "ok": self._ok,
             "quarantined": self._quarantined,
@@ -285,18 +253,14 @@ class StreamingAggregator:
             )],
             "groups": groups,
         }
-        if sketch_mode:
-            report["summary_mode"] = "sketch"
-        return report
 
 
 def aggregate(records: list[dict], mode: str = "exact") -> dict:
-    """Reduce records to per-group stats of every summary column.
+    """Reduce records to per-group mean/min/max of every summary column.
 
-    ``mode="exact"`` reports mean/min/max; ``mode="sketch"`` adds
-    constant-memory p50/p95 and per-column counts.  Implemented on
-    :class:`StreamingAggregator`, so a one-shot aggregation and an
-    incremental one over the same records are byte-identical.
+    Implemented on :class:`StreamingAggregator`, so a one-shot
+    aggregation and an incremental one over the same records are
+    byte-identical.
     """
     return StreamingAggregator(mode).add_all(records).report()
 

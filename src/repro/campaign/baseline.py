@@ -12,7 +12,7 @@ deterministic and sorted, comparison is a run_id-aligned walk flagging:
 
 Because the runner streams and resumes campaigns, a ``current`` record
 list may come from an in-flight sweep (via
-:func:`~repro.campaign.aggregate.load_results_partial`); its missing
+:func:`~repro.campaign.aggregate.read_jsonl_partial`); its missing
 runs then show up as ``removed`` -- visible in the comparison text, and
 fatal under the CLI's ``--strict`` gate -- rather than crashing the
 walk.  Finalized outputs are byte-identical regardless of worker count,

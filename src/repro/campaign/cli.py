@@ -16,9 +16,11 @@ resume   Finish an interrupted campaign: skip the run indices already
 merge    Fuse ``campaign run --shard i/N`` checkpoint directories into
          one artifact byte-identical to a single-host run.  Refuses
          fingerprint mismatches; quarantines conflicting duplicate
-         records to ``merge-conflicts.jsonl``; ``--allow-partial``
-         turns missing shards into a resumable checkpoint plus a
-         ``merge-gaps.json`` manifest instead of an error.
+         records to ``merge-conflicts.jsonl`` (as ``resume`` does: both
+         load through one :class:`~repro.campaign.checkpoint.Checkpoint`);
+         ``--allow-partial`` turns missing shards into a resumable
+         checkpoint plus a ``merge-gaps.json`` manifest instead of an
+         error.
 report   Re-render the aggregate table from a results file/directory.
          Works on an in-flight or interrupted campaign: partial results
          aggregate normally and a torn tail is skipped with a warning.
@@ -50,13 +52,13 @@ import os
 import sys
 
 from repro.campaign.aggregate import (
-    SUMMARY_MODES,
     aggregate,
     load_results,
     read_jsonl_partial,
     report_text,
 )
 from repro.campaign.baseline import compare, comparison_text
+from repro.campaign.checkpoint import Checkpoint
 from repro.campaign.merge import discover_shard_dirs, merge_shards
 from repro.campaign.runner import (
     EXECUTOR_REGISTRY,
@@ -175,18 +177,14 @@ def _resolve_results(target) -> tuple[str, str | None]:
 
 def _cmd_report(args) -> int:
     results_path, spec_path = _resolve_results(args.results)
-    mode = args.summary_mode
-    if mode is None:
-        mode = "exact"
-        if spec_path is not None:
-            mode = CampaignSpec.from_file(spec_path).summary_mode
-
     if args.follow:
         from repro.obs.follow import follow_report
 
         total = None
         if spec_path is not None:
-            total = len(CampaignSpec.from_file(spec_path).expand())
+            # the runs this directory's checkpoint owns: a shard
+            # directory holds only its slice of the matrix
+            total = len(Checkpoint(CampaignSpec.from_file(spec_path)).payloads)
 
         def on_update(aggregator, _fresh):
             seen = aggregator.runs_seen
@@ -195,7 +193,7 @@ def _cmd_report(args) -> int:
                   file=sys.stderr, flush=True)
 
         report = follow_report(
-            results_path, total=total, mode=mode,
+            results_path, total=total,
             interval=args.interval, on_update=on_update,
         )
     else:
@@ -207,7 +205,7 @@ def _cmd_report(args) -> int:
         records, warnings = read_jsonl_partial(results_path)
         for warning in warnings:
             print(f"warning: {warning}", file=sys.stderr)
-        report = aggregate(records, mode=mode)
+        report = aggregate(records)
 
     if args.json:
         json.dump(report, sys.stdout, indent=2, sort_keys=True)
@@ -278,15 +276,16 @@ def _field_diffs(stored, replayed, path: str = "") -> list[str]:
 
 def _cmd_explain(args) -> int:
     spec = CampaignSpec.from_file(os.path.join(args.dir, "spec.json"))
-    runs = [r.to_dict() for r in spec.expand()]
-    run = next((r for r in runs
+    checkpoint = Checkpoint(spec, args.dir,
+                            say=lambda msg: print(msg, file=sys.stderr))
+    checkpoint.load(verb="explain")
+    run = next((r for r in checkpoint.payloads
                 if args.run in (r["run_id"], str(r["index"]))), None)
     if run is None:
         print(f"error: {args.dir} has no run {args.run!r} (give a run id "
-              f"or an index 0..{len(runs) - 1})", file=sys.stderr)
+              f"or an index 0..{checkpoint.matrix_runs - 1})", file=sys.stderr)
         return 2
-    stored = next((r for r in load_results(args.dir)
-                   if r.get("index") == run["index"]), None)
+    stored = checkpoint.records.get(run["index"])
     if stored is None:
         print(f"error: {run['run_id']} has no record in {args.dir}/results.jsonl",
               file=sys.stderr)
@@ -404,11 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.add_argument("--interval", type=float, default=0.5,
                           help="poll interval for --follow (seconds, "
                                "default 0.5)")
-    p_report.add_argument("--summary-mode", choices=SUMMARY_MODES,
-                          default=None,
-                          help="column reduction: exact (mean/min/max) or "
-                               "sketch (adds streaming p50/p95); default: "
-                               "the campaign spec's summary_mode")
     p_report.set_defaults(func=_cmd_report)
 
     p_trends = sub.add_parser(

@@ -15,7 +15,9 @@ object per line), so a long campaign can be ``report``-ed mid-flight
 and a crash loses at most the line being written.  ``resume()`` (and
 the ``campaign resume`` CLI verb) reads that checkpoint back, discards
 a torn tail, re-runs only the missing indices, and finalizes output
-byte-identical to an uninterrupted campaign.
+byte-identical to an uninterrupted campaign.  Which records the
+directory holds -- validated, written and finalized -- is decided by
+its :class:`~repro.campaign.checkpoint.Checkpoint`.
 
 *Where* batches execute is pluggable: the runner dispatches through an
 executor backend (:data:`EXECUTOR_REGISTRY` -- the multiprocessing
@@ -62,16 +64,11 @@ import threading
 import time
 from contextlib import contextmanager
 
-from repro.campaign.shard import (
-    load_shard_manifest,
-    shard_dir_name,
-    shard_payloads,
-    spec_fingerprint,
-    touch_heartbeat,
-    write_shard_manifest,
-)
+from repro.campaign.checkpoint import Checkpoint
+from repro.campaign.shard import shard_dir_name
 from repro.campaign.spec import CampaignSpec
 from repro.ipv6.address import IPv6Address
+from repro.obs.telemetry import TelemetryTracker, check_fields, validate_jsonl
 from repro.scenarios import (
     CBRTraffic,
     PoissonTraffic,
@@ -330,12 +327,11 @@ def execute_batch(runs: list[dict]) -> list[dict]:
 
 
 def _timed_execute_batch(runs: list[dict]) -> dict:
-    """:func:`execute_batch` plus wall-clock metadata, for telemetry.
+    """The worker task: :func:`execute_batch` plus wall time and pid.
 
-    Submitted to workers instead of :func:`execute_batch` when the
-    runner's telemetry sidecar is enabled, so each batch record can
-    carry the executing worker's pid and in-worker wall time.  The run
-    records themselves are untouched -- telemetry never changes
+    Every batch returns the executing worker's pid and in-worker wall
+    time with its records, for the telemetry sidecar when it is on.
+    The run records themselves are untouched -- telemetry never changes
     ``results.jsonl``.
     """
     started = time.perf_counter()
@@ -539,42 +535,12 @@ def validate_quarantine_file(path) -> int:
     line.  The CI chaos gate uses this to schema-check quarantine
     sidecars the same way telemetry files are checked.
     """
-    count = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from exc
-            if not isinstance(entry, dict):
-                raise ValueError(
-                    f"{path}: line {lineno}: quarantine entry must be an "
-                    f"object, got {type(entry).__name__}"
-                )
-            for name, expected in _QUARANTINE_FIELDS.items():
-                if name not in entry:
-                    raise ValueError(
-                        f"{path}: line {lineno}: missing field {name!r}"
-                    )
-                value = entry[name]
-                if expected is int:
-                    ok = isinstance(value, int) and not isinstance(value, bool)
-                else:
-                    ok = isinstance(value, expected)
-                if not ok:
-                    raise ValueError(
-                        f"{path}: line {lineno}: field {name!r} must be "
-                        f"{expected.__name__}, got {type(value).__name__}"
-                    )
-            if entry["attempts"] < 1:
-                raise ValueError(
-                    f"{path}: line {lineno}: attempts must be >= 1"
-                )
-            count += 1
-    return count
+    def check(entry, where):
+        check_fields(entry, _QUARANTINE_FIELDS, f"{where} quarantine entry")
+        if entry["attempts"] < 1:
+            raise ValueError(f"{where} attempts must be >= 1")
+
+    return validate_jsonl(path, check)
 
 
 class CampaignRunner:
@@ -586,7 +552,9 @@ class CampaignRunner:
     artifacts, so the determinism contract is: *worker count, batch
     size, and resume interruption points never change results* --
     ``results.jsonl``, ``report.json`` and ``report.txt`` are
-    byte-identical however the campaign was executed.
+    byte-identical however the campaign was executed.  Which records a
+    directory holds is decided by its
+    :class:`~repro.campaign.checkpoint.Checkpoint`.
 
     ``workers <= 1`` runs inline (easier debugging, identical results).
     ``batch_size=None`` defers to ``spec.batch_size``, and ``None``
@@ -644,7 +612,6 @@ class CampaignRunner:
         self._say = echo or (lambda _msg: None)
         self._counts = {"ok": 0, "failed": 0}
         self._total = 0
-        self._matrix_total = 0
         self._telemetry = None
         self._started = None
         self._done_at_start = 0
@@ -656,156 +623,54 @@ class CampaignRunner:
     def run(self) -> list[dict]:
         """Execute every run of this executor's slice; returns sorted records.
 
-        Unsharded, the slice is the whole matrix.  With a shard
-        assignment, the full matrix is expanded first (run_ids/seeds
-        never depend on the split) and only the indices assigned to
-        this shard execute, streaming to the shard's own checkpoint.
+        An empty checkpoint plus its gaps.  Unsharded, the slice is the
+        whole matrix.  With a shard assignment, the full matrix is
+        expanded first (run_ids/seeds never depend on the split) and
+        only the indices assigned to this shard execute, streaming to
+        the shard's own checkpoint.
         """
-        payloads = self._own_payloads()
-        batch = self.batch_size or auto_batch_size(len(payloads), self.workers)
-        self._say(
-            f"campaign {self.spec.name!r}:{self._shard_label()} "
-            f"{len(payloads)} runs on {self.workers} worker(s), "
-            f"batch size {batch}"
-        )
-        return self._execute(payloads, existing=[], batch=batch)
+        return self._execute(self._checkpoint(), resumed=False)
 
     def resume(self) -> list[dict]:
         """Finish an interrupted campaign from its on-disk checkpoint.
 
-        Reads ``results.jsonl`` with the recovery parser (a torn final
-        line from a crash mid-write is discarded with a warning and its
-        run re-executed), validates every checkpoint record against the
-        expanded spec (records whose run_id/seed/params drifted are
-        discarded and re-run), then executes only the missing indices.
-        The finalized output is byte-identical to an uninterrupted
-        campaign -- including when there is nothing left to run.
+        A loaded checkpoint plus its gaps
+        (:meth:`~repro.campaign.checkpoint.Checkpoint.load`): a torn
+        final line from a crash mid-write is discarded with a warning
+        and its run re-executed, records whose run_id/seed/params
+        drifted from the expanded spec are discarded and re-run, and
+        differing copies of one run index are all quarantined to
+        ``merge-conflicts.jsonl`` and re-run; then only the missing
+        indices execute.  The finalized output is byte-identical to an
+        uninterrupted campaign -- including when there is nothing left
+        to run.
         """
         if self.out_dir is None:
             raise ValueError("resume() requires an output directory")
-        self._check_spec_provenance()
-        self._check_shard_provenance()
-        payloads = self._own_payloads()
-        results_path = os.path.join(self.out_dir, "results.jsonl")
-        kept = self._load_checkpoint(results_path, payloads)
-        pending = [p for p in payloads if p["index"] not in kept]
-        batch = self.batch_size or auto_batch_size(len(pending), self.workers)
-        self._say(
-            f"campaign {self.spec.name!r}:{self._shard_label()} resuming -- "
-            f"{len(kept)} of {len(payloads)} runs checkpointed, "
-            f"{len(pending)} left on {self.workers} worker(s), "
-            f"batch size {batch}"
-        )
-        existing = sorted(kept.values(), key=lambda r: r["index"])
-        return self._execute(pending, existing=existing, batch=batch,
+        return self._execute(self._checkpoint().load(verb="resume"),
                              resumed=True)
 
-    # -- shard helpers --------------------------------------------------
-    def _own_payloads(self) -> list[dict]:
-        """This executor's slice of the fully-expanded run matrix."""
-        payloads = [r.to_dict() for r in self.spec.expand()]
-        self._matrix_total = len(payloads)
-        if self.shard is None:
-            return payloads
-        return shard_payloads(payloads, *self.shard)
+    def _checkpoint(self) -> Checkpoint:
+        return Checkpoint(self.spec, self.out_dir, say=self._say)
 
     def _shard_label(self) -> str:
         if self.shard is None:
             return ""
         return f" shard {self.shard[0]}/{self.shard[1]} --"
 
-    def _check_shard_provenance(self) -> None:
-        """Refuse to resume across a shard-assignment mismatch.
-
-        A shard checkpoint resumed under a different (or absent) shard
-        assignment would treat every other shard's runs as pending and
-        re-execute them into the wrong directory; an unsharded
-        checkpoint resumed *as* a shard would silently drop the rest of
-        the matrix.  Both are operator errors worth a hard stop.
-        """
-        manifest = load_shard_manifest(self.out_dir)
-        saved = (None if manifest is None
-                 else (manifest["shard_index"], manifest["shard_count"]))
-        if saved != self.shard:
-            describe = lambda s: "unsharded" if s is None else f"shard {s[0]}/{s[1]}"
-            raise ValueError(
-                f"refusing to resume: {self.out_dir} was written by a "
-                f"{describe(saved)} execution but this one is "
-                f"{describe(self.shard)}; pass the matching --shard "
-                "(or point --out at the right checkpoint)"
-            )
-
-    # -- resume helpers -------------------------------------------------
-    @staticmethod
-    def _spec_fingerprint(data: dict) -> dict:
-        """Spec dict minus execution/reporting-only keys.
-
-        ``batch_size`` never changes results; ``summary_mode`` only
-        changes how reports reduce them; the retry knobs govern how hard
-        the runner fights worker death; the shard keys say *where* a
-        slice executes, never what it computes.  None of them may block
-        a resume (see :func:`repro.campaign.shard.spec_fingerprint`).
-        """
-        return spec_fingerprint(data)
-
-    def _check_spec_provenance(self) -> None:
-        """Refuse to resume into an output directory from a different spec."""
-        spec_path = os.path.join(self.out_dir, "spec.json")
-        if not os.path.exists(spec_path):
-            return
-        with open(spec_path, "r", encoding="utf-8") as fh:
-            saved = json.load(fh)
-        if self._spec_fingerprint(saved) != self._spec_fingerprint(self.spec.to_dict()):
-            raise ValueError(
-                f"refusing to resume: {spec_path} was written by a different "
-                "campaign spec; finishing it with this one would mix matrices"
-            )
-
-    def _load_checkpoint(self, results_path, payloads: list[dict]) -> dict[int, dict]:
-        """Validated checkpoint records keyed by run index.
-
-        Missing file -> FileNotFoundError (resume needs something to
-        resume; use ``run`` to start fresh).  Torn tails, duplicate
-        indices, and records that do not match the spec's expansion are
-        discarded with a warning -- their runs simply execute again.
-        """
-        from repro.campaign.aggregate import read_jsonl_partial
-
-        records, warnings = read_jsonl_partial(results_path)
-        expected = {p["index"]: p for p in payloads}
-        kept: dict[int, dict] = {}
-        for position, record in enumerate(records, 1):
-            index = record.get("index")
-            payload = expected.get(index)
-            if payload is None:
-                warnings.append(
-                    f"discarding checkpoint record {position}: index "
-                    f"{index!r} is not in this campaign's run matrix"
-                )
-            elif (
-                record.get("run_id") != payload["run_id"]
-                or record.get("seed") != payload["seed"]
-                or record.get("params") != payload["params"]
-            ):
-                warnings.append(
-                    f"discarding checkpoint record for index {index}: "
-                    "run_id/seed/params do not match the spec (drifted?); "
-                    "the run will be re-executed"
-                )
-            elif index in kept:
-                warnings.append(
-                    f"discarding duplicate checkpoint record for index {index}"
-                )
-            else:
-                kept[index] = record
-        for warning in warnings:
-            self._say(f"warning: {warning}")
-        return kept
-
     # -- execution core -------------------------------------------------
-    def _execute(self, pending: list[dict], existing: list[dict],
-                 batch: int, resumed: bool = False) -> list[dict]:
-        self._total = len(pending) + len(existing)
+    def _execute(self, checkpoint: Checkpoint, resumed: bool) -> list[dict]:
+        pending = checkpoint.gaps()
+        existing = checkpoint.records.values()
+        self._total = len(checkpoint.payloads)
+        batch = self.batch_size or auto_batch_size(len(pending), self.workers)
+        progress = (f"resuming -- {len(existing)} of {self._total} runs "
+                    f"checkpointed, {len(pending)} left" if resumed
+                    else f"{self._total} runs")
+        self._say(
+            f"campaign {self.spec.name!r}:{self._shard_label()} {progress} "
+            f"on {self.workers} worker(s), batch size {batch}"
+        )
         self._counts = {
             "ok": sum(1 for r in existing if r["status"] == "ok"),
             "failed": sum(1 for r in existing if r["status"] != "ok"),
@@ -815,8 +680,7 @@ class CampaignRunner:
         self._retries = 0
         self._stop_signal = None
         self._abandoned = []
-        records = list(existing)
-        stream = self._open_stream(existing)
+        checkpoint.begin()
         # Graceful shutdown: SIGINT/SIGTERM set a flag checked between
         # batches instead of tearing the process down mid-write, so the
         # streaming checkpoint always closes cleanly and `campaign
@@ -832,8 +696,6 @@ class CampaignRunner:
                 except (OSError, ValueError):
                     pass
         if self.telemetry:
-            from repro.obs.telemetry import TelemetryTracker
-
             self._telemetry = TelemetryTracker(
                 os.path.join(self.out_dir, "telemetry.jsonl")
             )
@@ -853,7 +715,7 @@ class CampaignRunner:
                 chunks = [pending[i:i + batch]
                           for i in range(0, len(pending), batch)]
                 executor = create_executor(self.executor_name, self.workers)
-                self._dispatch(chunks, records, stream, executor)
+                self._dispatch(chunks, checkpoint, executor)
             if self._stop_signal is not None:
                 if self._telemetry is not None:
                     self._telemetry.abandoned(
@@ -863,15 +725,15 @@ class CampaignRunner:
                         total=self._total,
                     )
                 # Raised inside the try so the finally below closes the
-                # stream/telemetry; sorting + finalize are skipped -- the
-                # streamed checkpoint is the resumable artifact.
+                # stream/telemetry; finalize is skipped -- the streamed
+                # checkpoint is the resumable artifact.
                 raise CampaignInterrupted(self._stop_signal)
             if self._telemetry is not None:
                 self._telemetry.finish(
-                    runs=len(records),
+                    runs=len(checkpoint.records),
                     ok=self._counts["ok"],
                     failed=self._counts["failed"],
-                    timeouts=sum(1 for r in records
+                    timeouts=sum(1 for r in checkpoint.records.values()
                                  if r.get("status") == "timeout"),
                     retries=self._retries,
                     wall_s=time.perf_counter() - self._started,
@@ -879,15 +741,11 @@ class CampaignRunner:
         finally:
             for signum, handler in previous_handlers.items():
                 signal.signal(signum, handler)
-            if stream is not None:
-                stream.close()
+            checkpoint.close()
             if self._telemetry is not None:
                 self._telemetry.close()
                 self._telemetry = None
-        records.sort(key=lambda r: r["index"])
-        if self.out_dir is not None:
-            self._finalize(records)
-        return records
+        return checkpoint.finalize()
 
     def _request_stop(self, signum, frame) -> None:
         """Signal handler: note the stop request, let dispatch unwind."""
@@ -927,8 +785,8 @@ class CampaignRunner:
             re_dad_count=sum(s.get("re_dad_count", 0) for s in summaries),
         )
 
-    def _dispatch(self, chunks: list[list[dict]], records: list[dict],
-                  stream, executor) -> None:
+    def _dispatch(self, chunks: list[list[dict]], checkpoint: Checkpoint,
+                  executor) -> None:
         """Run batches on the executor; stream results as they complete.
 
         A chunk the executor *lost* (worker death: OOM-kill, segfault)
@@ -940,21 +798,18 @@ class CampaignRunner:
         runs are reported as the ``abandoned`` telemetry record's
         ``in_flight`` list and re-executed by ``campaign resume``.
         """
-        task = execute_batch if self._telemetry is None else _timed_execute_batch
         orphaned = []  # (payload, exc) whose worker died mid-batch
 
-        def on_outcome(chunk, value, error):
+        def on_outcome(chunk, outcome, error):
             if error is not None:
                 orphaned.extend((p, error) for p in chunk)
                 return
-            if self._telemetry is None:
-                self._ingest(value, records, stream)
-            else:
-                self._ingest(value["records"], records, stream)
-                self._batch_telemetry(value)
+            self._ingest(outcome["records"], checkpoint)
+            if self._telemetry is not None:
+                self._batch_telemetry(outcome)
 
         unfinished = executor.run_batches(
-            chunks, task, on_outcome,
+            chunks, _timed_execute_batch, on_outcome,
             should_stop=lambda: self._stop_signal is not None,
         )
         if self._stop_signal is not None:
@@ -964,10 +819,10 @@ class CampaignRunner:
             self._abandoned.extend(p["index"] for p, _exc in orphaned)
             return
         for payload, exc in sorted(orphaned, key=lambda pair: pair[0]["index"]):
-            self._retry_orphan(payload, exc, executor, records, stream)
+            self._retry_orphan(payload, exc, executor, checkpoint)
 
     def _retry_orphan(self, payload: dict, death: Exception, executor,
-                      records: list[dict], stream) -> None:
+                      checkpoint: Checkpoint) -> None:
         """Re-execute a worker-death orphan with bounded backoff.
 
         Innocent batchmates die with a poison run's worker, so each
@@ -995,8 +850,7 @@ class CampaignRunner:
             except Exception as exc:
                 last_exc = exc
                 continue
-            self._ingest([record], records, stream,
-                         suffix=f" (retry {retry})")
+            self._ingest([record], checkpoint, suffix=f" (retry {retry})")
             if self._telemetry is not None:
                 # the retry pool's worker pid is gone with the pool;
                 # report the coordinating process instead
@@ -1009,7 +863,7 @@ class CampaignRunner:
         record = _quarantine_record(payload, last_exc,
                                     self.spec.retry_max_attempts)
         self._quarantine(record)
-        self._ingest([record], records, stream, suffix=" (quarantined)")
+        self._ingest([record], checkpoint, suffix=" (quarantined)")
         if self._telemetry is not None:
             self._batch_telemetry({
                 "records": [record],
@@ -1036,22 +890,14 @@ class CampaignRunner:
             os.fsync(fh.fileno())
         self._say(f"quarantined {record['run_id']} -> {path}")
 
-    def _ingest(self, batch_records: list[dict], records: list[dict],
-                stream, suffix: str = "") -> None:
-        """Append a completed batch to memory + the streaming checkpoint."""
+    def _ingest(self, batch_records: list[dict], checkpoint: Checkpoint,
+                suffix: str = "") -> None:
+        """Add a completed batch to the checkpoint (append + fsync each)."""
         for record in batch_records:
-            records.append(record)
+            checkpoint.add(record)
             self._counts["ok" if record["status"] == "ok" else "failed"] += 1
-            if stream is not None:
-                stream.write(json.dumps(record, sort_keys=True) + "\n")
-                stream.flush()
-                os.fsync(stream.fileno())
-                if self.shard is not None:
-                    # the shard manifest's mtime is the heartbeat other
-                    # hosts watch for liveness
-                    touch_heartbeat(self.out_dir)
-            self._say(f"  [{len(records)}/{self._total}] {record['run_id']} "
-                      f"{record['status']}{suffix}")
+            self._say(f"  [{len(checkpoint.records)}/{self._total}] "
+                      f"{record['run_id']} {record['status']}{suffix}")
         if self.progress:
             done = self._counts["ok"] + self._counts["failed"]
             print(
@@ -1076,77 +922,6 @@ class CampaignRunner:
         rate = completed / elapsed
         eta = (self._total - done) / rate
         return f" | {rate:.1f} runs/s | eta {eta:.0f}s"
-
-    # -- persistence ----------------------------------------------------
-    def _open_stream(self, existing: list[dict]):
-        """Open the append-only ``results.jsonl`` checkpoint stream.
-
-        The checkpoint prefix (validated records from a resume; empty on
-        a fresh run) is rewritten atomically first -- temp file, fsync,
-        ``os.replace`` -- so a crash during the rewrite can't lose the
-        records a previous attempt already earned.
-        """
-        if self.out_dir is None:
-            return None
-        from repro.campaign.aggregate import write_jsonl
-
-        os.makedirs(self.out_dir, exist_ok=True)
-        self._write_spec_provenance()
-        if self.shard is not None:
-            write_shard_manifest(
-                self.out_dir, self.spec.to_dict(), *self.shard,
-                total_runs=self._matrix_total, assigned_runs=self._total,
-                status="running",
-            )
-        path = os.path.join(self.out_dir, "results.jsonl")
-        tmp = path + ".tmp"
-        write_jsonl(tmp, existing, fsync=True)
-        os.replace(tmp, path)
-        return open(path, "a", encoding="utf-8")
-
-    def _write_spec_provenance(self) -> None:
-        from repro.campaign.aggregate import write_json_artifact
-
-        write_json_artifact(
-            os.path.join(self.out_dir, "spec.json"), self.spec.to_dict()
-        )
-
-    def _finalize(self, records: list[dict]) -> None:
-        """Rewrite the stream sorted by run index + emit the reports.
-
-        The streamed file holds records in completion order; the final
-        artifact is sorted so it is byte-identical regardless of worker
-        count, batch size, or resume history.  Atomic replace: a crash
-        mid-finalize leaves the (complete) streamed checkpoint behind,
-        which a further ``resume`` finalizes identically.
-
-        A shard finalizes only its sorted checkpoint and marks its
-        manifest ``complete`` -- reports over one slice of the matrix
-        would be misleading; ``campaign merge`` writes the real ones.
-        """
-        from repro.campaign.aggregate import (
-            aggregate,
-            write_jsonl,
-            write_report_artifacts,
-        )
-
-        path = os.path.join(self.out_dir, "results.jsonl")
-        tmp = path + ".tmp"
-        write_jsonl(tmp, records, fsync=True)
-        os.replace(tmp, path)
-        if self.shard is not None:
-            write_shard_manifest(
-                self.out_dir, self.spec.to_dict(), *self.shard,
-                total_runs=self._matrix_total, assigned_runs=len(records),
-                status="complete",
-            )
-            self._say(f"wrote {path} (shard checkpoint; fuse the shards "
-                      "with 'campaign merge')")
-            return
-        report = aggregate(records, mode=self.spec.summary_mode)
-        report["campaign"] = self.spec.name
-        write_report_artifacts(self.out_dir, report)
-        self._say(f"wrote {path}")
 
 
 def run_campaign(

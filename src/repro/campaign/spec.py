@@ -52,6 +52,16 @@ _KNOWN_KEYS = {
 }
 
 
+def check_summary_mode(mode) -> None:
+    """Refuse any summary mode but ``"exact"``: reports are mean/min/max."""
+    if mode != "exact":
+        raise ValueError(
+            f"summary_mode {mode!r} is not supported: the 'sketch' mode "
+            "was removed and campaign reports are always exact "
+            "(mean/min/max)"
+        )
+
+
 def set_by_path(target: dict, path: str, value) -> None:
     """Set ``target['a']['b'] = value`` for path ``"a.b"``, creating dicts."""
     parts = path.split(".")
@@ -110,11 +120,6 @@ class CampaignSpec:
     #: size and worker count (see :func:`repro.campaign.runner.auto_batch_size`).
     #: Execution-only: never changes results, only dispatch overhead.
     batch_size: int | None = None
-    #: How the aggregate report reduces each summary column: ``"exact"``
-    #: (mean/min/max) or ``"sketch"`` (adds constant-memory p50/p95 via
-    #: P^2 estimators -- see :mod:`repro.obs.sketch`).  Reporting-only:
-    #: never changes ``results.jsonl``, so it is resume-compatible.
-    summary_mode: str = "exact"
     #: Total execution attempts per run when a worker *dies* mid-batch
     #: (original + retries).  Execution-only (like batch_size): a run
     #: whose retry eventually succeeds produces its canonical record;
@@ -141,6 +146,8 @@ class CampaignSpec:
         unknown = set(data) - _KNOWN_KEYS
         if unknown:
             raise ValueError(f"unknown campaign spec keys: {sorted(unknown)}")
+        # every spec.json written before the key was dropped carries it
+        check_summary_mode(data.get("summary_mode", "exact"))
         if "base" not in data:
             raise ValueError("campaign spec requires a 'base' scenario")
         spec = cls(
@@ -157,7 +164,6 @@ class CampaignSpec:
             timeout=float(data.get("timeout", 120.0)),
             batch_size=(int(data["batch_size"])
                         if data.get("batch_size") is not None else None),
-            summary_mode=str(data.get("summary_mode", "exact")),
             retry_max_attempts=int(data.get("retry_max_attempts", 3)),
             retry_backoff=float(data.get("retry_backoff", 0.5)),
             shards=(int(data["shards"])
@@ -173,11 +179,6 @@ class CampaignSpec:
             raise ValueError("retry_max_attempts must be >= 1")
         if spec.retry_backoff < 0:
             raise ValueError("retry_backoff must be >= 0")
-        if spec.summary_mode not in ("exact", "sketch"):
-            raise ValueError(
-                f"summary_mode must be 'exact' or 'sketch', "
-                f"not {spec.summary_mode!r}"
-            )
         if (spec.shards is None) != (spec.shard_index is None):
             raise ValueError("shards and shard_index must be set together")
         if spec.shards is not None:
@@ -212,7 +213,6 @@ class CampaignSpec:
             "duration": self.duration,
             "timeout": self.timeout,
             "batch_size": self.batch_size,
-            "summary_mode": self.summary_mode,
             "retry_max_attempts": self.retry_max_attempts,
             "retry_backoff": self.retry_backoff,
             "shards": self.shards,

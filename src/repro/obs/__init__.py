@@ -1,19 +1,19 @@
-"""Observability: streaming sketches, kernel stats, telemetry, live reports.
+"""Observability: column summaries, kernel stats, telemetry, live reports.
 
 Everything in this package is dependency-free, deterministic, and
 opt-in -- the simulation and campaign layers behave byte-identically
 when none of it is enabled:
 
-* :mod:`~repro.obs.sketch` -- constant-memory streaming accumulators
-  (exactly-rounded sums, Welford moments, P^2 quantiles, mergeable
-  histograms, reservoir samples) behind :class:`MetricSketch`, the
-  per-column state of campaign aggregation;
+* :mod:`~repro.obs.sketch` -- order-independent, constant-memory
+  column summaries (:class:`ExactSum` exactly-rounded sums behind
+  :class:`MetricSketch`, the per-column state of campaign aggregation);
 * :mod:`~repro.obs.kernel_stats` -- the :class:`KernelStats` sink the
   simulator kernel fills when profiling is enabled (events/sec, heap
   high-water, per-handler time buckets);
 * :mod:`~repro.obs.telemetry` -- the runner's fsync'd
-  ``telemetry.jsonl`` sidecar (per-batch wall time, worker id, rates)
-  and its schema validator;
+  ``telemetry.jsonl`` sidecar (per-batch wall time, worker id, rates),
+  its v3 schema validator, and the one field checker every campaign
+  sidecar schema uses;
 * :mod:`~repro.obs.follow` -- incremental tailing of an in-flight
   ``results.jsonl`` for ``campaign report --follow``;
 * :mod:`~repro.obs.trends` -- cross-campaign history rendered as
@@ -21,26 +21,12 @@ when none of it is enabled:
 """
 
 from repro.obs.kernel_stats import KernelStats, handler_kind
-from repro.obs.sketch import (
-    ExactSum,
-    FixedGridHistogram,
-    MetricSketch,
-    P2Quantile,
-    Reservoir,
-    StreamingQuantile,
-    Welford,
-    quantile_sorted,
-)
+from repro.obs.sketch import ExactSum, MetricSketch, quantile_sorted
 
 __all__ = [
     "ExactSum",
-    "FixedGridHistogram",
     "KernelStats",
     "MetricSketch",
-    "P2Quantile",
-    "Reservoir",
-    "StreamingQuantile",
-    "Welford",
     "handler_kind",
     "quantile_sorted",
 ]

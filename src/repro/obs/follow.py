@@ -92,11 +92,12 @@ def follow_report(
 
     Polls every ``interval`` seconds, folding fresh records into a
     streaming aggregator, until ``total`` records have been seen (pass
-    the expanded matrix size from ``spec.json``) or ``max_polls`` polls
+    the run count the directory's checkpoint owns: the whole matrix, or
+    one shard's slice) or ``max_polls`` polls
     have elapsed (``None`` = unbounded, for callers that stop via
     KeyboardInterrupt).  ``on_update(aggregator, fresh_records)`` fires
     after every poll that yielded new records.  Returns the final
-    report dict -- byte-identical (exact mode) to a post-hoc
+    report dict -- byte-identical to a post-hoc
     :func:`~repro.campaign.aggregate.aggregate` over the same records.
     """
     aggregator = StreamingAggregator(mode)

@@ -1,38 +1,27 @@
-"""Streaming, constant-memory statistical sketches.
+"""Order-independent, constant-memory column summaries for campaign reports.
 
 Everything here is pure python and bit-stable: no numpy, no platform-
 dependent math, no wall clock, no global state.  The campaign
-aggregator folds 10^5-run sweeps through these instead of buffering
-exact value lists, and its reports must still diff byte-for-byte across
-machines and re-runs, so every estimator is deterministic given its
-insertion order (and :class:`ExactSum` / :class:`FixedGridHistogram`
-are deterministic given only the value *multiset*).
+aggregator folds records through these instead of buffering value
+lists, and its reports must still diff byte-for-byte across machines
+and re-runs -- and across record *order*, since a live ``report
+--follow`` sees records in completion order while a post-hoc report
+reads the finalized, index-sorted file.
 
 Primitives
 ----------
 * :class:`ExactSum` -- Shewchuk compensated summation; the returned sum
   is the correctly-rounded exact sum, so it is independent of insertion
-  order.  This is what makes a live ``report --follow`` (records arrive
-  in completion order) byte-identical to a post-hoc report over the
-  finalized, index-sorted file.
-* :class:`Welford` -- streaming mean/variance with Chan's parallel
-  merge.
-* :class:`P2Quantile` -- the Jain & Chlamtac P^2 single-quantile
-  estimator: five markers, O(1) memory; exact while it still holds
-  five or fewer observations.
-* :class:`StreamingQuantile` -- exact up to a configurable buffer
-  limit, then spills into P^2; small campaign groups therefore report
-  *exact* quantiles while huge ones stay constant-memory.
-* :class:`FixedGridHistogram` -- fixed-bin counts over a known range;
-  integer merge, exactly associative.
-* :class:`Reservoir` -- bounded uniform sample (Algorithm R) with a
-  deterministic private RNG.
+  order.
+* :class:`MetricSketch` -- one numeric column of one campaign group:
+  exactly-rounded mean plus exact min/max.
+* :func:`quantile_sorted` -- the linear-interpolation quantile rule of
+  :func:`repro.metrics.collector.percentile`, on a sorted sequence.
 """
 
 from __future__ import annotations
 
 import math
-import random
 
 
 class ExactSum:
@@ -73,57 +62,13 @@ class ExactSum:
         return math.fsum(self._partials)
 
 
-class Welford:
-    """Streaming mean/variance (Welford's online algorithm).
-
-    ``merge`` uses Chan's parallel update, so sharded accumulation over
-    disjoint value sets reaches the same moments as a single pass (up
-    to float rounding; counts are exact).
-    """
-
-    __slots__ = ("count", "mean", "_m2")
-
-    def __init__(self):
-        self.count = 0
-        self.mean = 0.0
-        self._m2 = 0.0
-
-    def add(self, value: float) -> None:
-        x = float(value)
-        self.count += 1
-        delta = x - self.mean
-        self.mean += delta / self.count
-        self._m2 += delta * (x - self.mean)
-
-    def merge(self, other: "Welford") -> None:
-        if other.count == 0:
-            return
-        if self.count == 0:
-            self.count, self.mean, self._m2 = other.count, other.mean, other._m2
-            return
-        total = self.count + other.count
-        delta = other.mean - self.mean
-        self.mean += delta * other.count / total
-        self._m2 += other._m2 + delta * delta * self.count * other.count / total
-        self.count = total
-
-    @property
-    def variance(self) -> float:
-        """Population variance; 0 with fewer than two observations."""
-        return self._m2 / self.count if self.count > 1 else 0.0
-
-    @property
-    def stddev(self) -> float:
-        return math.sqrt(self.variance)
-
-
 def quantile_sorted(ordered, q: float) -> float:
     """Linear-interpolation quantile of an already-sorted sequence.
 
     Same interpolation rule as
     :func:`repro.metrics.collector.percentile` (``q`` in [0, 100]), so
-    sketch fallbacks and exact summaries agree bit-for-bit on shared
-    inputs.  Returns 0.0 when empty.
+    the two agree bit-for-bit on shared inputs.  Returns 0.0 when
+    empty.
     """
     if not ordered:
         return 0.0
@@ -138,246 +83,21 @@ def quantile_sorted(ordered, q: float) -> float:
     return float(ordered[lo] * (1.0 - frac) + ordered[hi] * frac)
 
 
-class P2Quantile:
-    """P^2 (Jain & Chlamtac 1985) streaming estimator of one quantile.
-
-    Five markers track the running q-quantile in O(1) memory.  While
-    five or fewer observations have been seen the estimate is *exact*
-    (computed from the stored values with the same interpolation as
-    :func:`quantile_sorted`); beyond that the markers adjust via the
-    piecewise-parabolic (P^2) update.  Deterministic given insertion
-    order.
-    """
-
-    __slots__ = ("q", "count", "_heights", "_positions", "_desired", "_rates")
-
-    def __init__(self, q: float):
-        if not 0.0 < q < 1.0:
-            raise ValueError("q must be in (0, 1)")
-        self.q = q
-        self.count = 0
-        self._heights: list[float] = []
-        self._positions = [1, 2, 3, 4, 5]
-        self._desired = [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0]
-        self._rates = [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0]
-
-    def add(self, value: float) -> None:
-        x = float(value)
-        self.count += 1
-        heights = self._heights
-        if self.count <= 5:
-            heights.append(x)
-            heights.sort()
-            return
-
-        positions = self._positions
-        if x < heights[0]:
-            heights[0] = x
-            cell = 0
-        elif x >= heights[4]:
-            heights[4] = x
-            cell = 3
-        else:
-            cell = 0
-            while x >= heights[cell + 1]:
-                cell += 1
-        for i in range(cell + 1, 5):
-            positions[i] += 1
-        for i in range(5):
-            self._desired[i] += self._rates[i]
-
-        for i in (1, 2, 3):
-            delta = self._desired[i] - positions[i]
-            if (delta >= 1.0 and positions[i + 1] - positions[i] > 1) or (
-                delta <= -1.0 and positions[i - 1] - positions[i] < -1
-            ):
-                step = 1 if delta > 0 else -1
-                candidate = self._parabolic(i, step)
-                if heights[i - 1] < candidate < heights[i + 1]:
-                    heights[i] = candidate
-                else:
-                    heights[i] = self._linear(i, step)
-                positions[i] += step
-
-    def _parabolic(self, i: int, step: int) -> float:
-        h, n = self._heights, self._positions
-        return h[i] + step / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + step) * (h[i + 1] - h[i]) / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - step) * (h[i] - h[i - 1]) / (n[i] - n[i - 1])
-        )
-
-    def _linear(self, i: int, step: int) -> float:
-        h, n = self._heights, self._positions
-        return h[i] + step * (h[i + step] - h[i]) / (n[i + step] - n[i])
-
-    def value(self) -> float:
-        """Current quantile estimate; exact for five or fewer values."""
-        if self.count == 0:
-            return 0.0
-        if self.count <= 5:
-            return quantile_sorted(self._heights, self.q * 100.0)
-        return self._heights[2]
-
-
-class StreamingQuantile:
-    """Exact quantiles for small streams, P^2 beyond a buffer limit.
-
-    Buffers values exactly until ``exact_limit`` observations, then
-    replays them (in insertion order) into a :class:`P2Quantile` and
-    streams from there.  Campaign groups with up to ``exact_limit``
-    replicates therefore report the same number an exact percentile
-    would, while unbounded streams stay O(1) memory.
-    """
-
-    __slots__ = ("q", "exact_limit", "_buffer", "_p2")
-
-    def __init__(self, q: float, exact_limit: int = 64):
-        if not 0.0 < q < 1.0:
-            raise ValueError("q must be in (0, 1)")
-        self.q = q
-        self.exact_limit = int(exact_limit)
-        self._buffer: list[float] | None = []
-        self._p2: P2Quantile | None = None
-
-    @property
-    def count(self) -> int:
-        return self._p2.count if self._p2 is not None else len(self._buffer)
-
-    def add(self, value: float) -> None:
-        if self._p2 is not None:
-            self._p2.add(value)
-            return
-        self._buffer.append(float(value))
-        if len(self._buffer) > self.exact_limit:
-            self._p2 = P2Quantile(self.q)
-            for v in self._buffer:
-                self._p2.add(v)
-            self._buffer = None
-
-    def value(self) -> float:
-        if self._p2 is not None:
-            return self._p2.value()
-        return quantile_sorted(sorted(self._buffer), self.q * 100.0)
-
-
-class FixedGridHistogram:
-    """Fixed-bin counting sketch over a known value range.
-
-    Values are clamped into ``bins`` equal-width buckets spanning
-    ``[lo, hi]``; quantiles interpolate linearly inside the containing
-    bucket and are clamped to the observed min/max.  Because state is
-    integer counts plus exact min/max, ``merge`` of same-grid sketches
-    is *exactly associative and commutative* -- the property sharded
-    campaign aggregation relies on.
-    """
-
-    __slots__ = ("lo", "hi", "bins", "counts", "count", "min", "max", "_width")
-
-    def __init__(self, lo: float, hi: float, bins: int = 128):
-        if not hi > lo:
-            raise ValueError("hi must be > lo")
-        if bins < 1:
-            raise ValueError("bins must be >= 1")
-        self.lo = float(lo)
-        self.hi = float(hi)
-        self.bins = int(bins)
-        self._width = (self.hi - self.lo) / self.bins
-        self.counts = [0] * self.bins
-        self.count = 0
-        self.min = math.inf
-        self.max = -math.inf
-
-    def add(self, value: float) -> None:
-        x = float(value)
-        bucket = int((x - self.lo) / self._width)
-        if bucket < 0:
-            bucket = 0
-        elif bucket >= self.bins:
-            bucket = self.bins - 1
-        self.counts[bucket] += 1
-        self.count += 1
-        if x < self.min:
-            self.min = x
-        if x > self.max:
-            self.max = x
-
-    def merge(self, other: "FixedGridHistogram") -> None:
-        if (other.lo, other.hi, other.bins) != (self.lo, self.hi, self.bins):
-            raise ValueError("cannot merge histograms with different grids")
-        for i, c in enumerate(other.counts):
-            self.counts[i] += c
-        self.count += other.count
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)
-
-    def quantile(self, q: float) -> float:
-        """Estimated q-percentile (``q`` in [0, 100]); 0 when empty."""
-        if self.count == 0:
-            return 0.0
-        if not 0.0 <= q <= 100.0:
-            raise ValueError("q must be in [0, 100]")
-        rank = (self.count - 1) * (q / 100.0)
-        seen = 0
-        for bucket, c in enumerate(self.counts):
-            if c == 0:
-                continue
-            if seen + c > rank:
-                frac = (rank - seen + 0.5) / c
-                estimate = self.lo + (bucket + frac) * self._width
-                return min(max(estimate, self.min), self.max)
-            seen += c
-        return self.max
-
-
-class Reservoir:
-    """Bounded uniform sample of a stream (Algorithm R).
-
-    The RNG is a private ``random.Random(seed)``, so two identical
-    feeds produce identical samples and sampling never perturbs any
-    simulation RNG stream.
-    """
-
-    __slots__ = ("capacity", "items", "count", "_rng")
-
-    def __init__(self, capacity: int, seed: int = 0):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = int(capacity)
-        self.items: list = []
-        self.count = 0
-        self._rng = random.Random(seed)
-
-    def add(self, value) -> None:
-        self.count += 1
-        if len(self.items) < self.capacity:
-            self.items.append(value)
-            return
-        slot = self._rng.randrange(self.count)
-        if slot < self.capacity:
-            self.items[slot] = value
-
-
 class MetricSketch:
     """Combined per-column streaming summary used by campaign groups.
 
-    Tracks an exactly-rounded (order-independent) mean, exact min/max,
-    and P^2-backed p50/p95 -- everything ``aggregate`` needs for one
-    numeric column of one group, in constant memory.
+    Tracks an exactly-rounded (order-independent) mean and exact
+    min/max -- everything ``aggregate`` needs for one numeric column of
+    one group, in constant memory.
     """
 
-    __slots__ = ("count", "min", "max", "_sum", "_p50", "_p95")
-
-    #: Groups up to this many values report *exact* quantiles; beyond
-    #: it the P^2 markers take over (see :class:`StreamingQuantile`).
-    EXACT_QUANTILE_LIMIT = 64
+    __slots__ = ("count", "min", "max", "_sum")
 
     def __init__(self):
         self.count = 0
         self.min = math.inf
         self.max = -math.inf
         self._sum = ExactSum()
-        self._p50 = StreamingQuantile(0.50, self.EXACT_QUANTILE_LIMIT)
-        self._p95 = StreamingQuantile(0.95, self.EXACT_QUANTILE_LIMIT)
 
     def add(self, value: float) -> None:
         x = float(value)
@@ -387,18 +107,11 @@ class MetricSketch:
             self.min = x
         if x > self.max:
             self.max = x
-        self._p50.add(x)
-        self._p95.add(x)
 
     @property
     def mean(self) -> float:
         return self._sum.value() / self.count if self.count else 0.0
 
-    def stats(self, sketch: bool = False) -> dict:
-        """The group-report dict: mean/min/max, plus p50/p95 in sketch mode."""
-        out = {"mean": self.mean, "min": self.min, "max": self.max}
-        if sketch:
-            out["count"] = self.count
-            out["p50"] = self._p50.value()
-            out["p95"] = self._p95.value()
-        return out
+    def stats(self) -> dict:
+        """The group-report dict: mean/min/max."""
+        return {"mean": self.mean, "min": self.min, "max": self.max}

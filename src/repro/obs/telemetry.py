@@ -13,6 +13,11 @@ deterministic; they live strictly outside the byte-compared artifacts
 (``results.jsonl``, ``report.json``) and enabling them never changes
 those files.  :func:`validate_telemetry_record` /
 :func:`validate_telemetry_file` define the schema contract CI checks.
+
+:func:`check_fields` and :func:`validate_jsonl` are the one field
+checker behind every campaign sidecar schema: telemetry records here,
+plus ``quarantine.jsonl``, ``merge-conflicts.jsonl`` and ``shard.json``
+in :mod:`repro.campaign`.
 """
 
 from __future__ import annotations
@@ -20,19 +25,14 @@ from __future__ import annotations
 import json
 import os
 
-#: Bumped whenever the record layout changes incompatibly; every record
-#: carries it as ``"v"`` so consumers can reject files they don't speak.
-#: v2: batch records gained fault counters (faults_injected,
-#: re_dad_count); new ``abandoned`` kind written on graceful shutdown.
-#: v3: start records carry the shard assignment (shard_index,
-#: shard_count -- 0/1 for an unsharded run); new ``merge`` kind written
-#: by ``campaign merge`` with per-shard run counts and conflict totals.
-#: Validation accepts v2 *and* v3 files, so sidecars written before the
-#: shard work keep validating.
+#: The record layout version; every record carries it as ``"v"``.  Only
+#: v3 is read or written: ``start`` records carry the shard assignment
+#: (shard_index, shard_count -- 0/1 for an unsharded run) and ``campaign
+#: merge`` writes a ``merge`` record.  Older files are refused.
 TELEMETRY_SCHEMA_VERSION = 3
 
-#: Required fields per v2 record kind (beyond the ``v``/``kind`` envelope).
-_SCHEMA_V2 = {
+#: Required fields per record kind (beyond the ``v``/``kind`` envelope).
+_SCHEMA = {
     "start": {
         "campaign": str,
         "total_runs": int,
@@ -40,6 +40,8 @@ _SCHEMA_V2 = {
         "workers": int,
         "batch_size": int,
         "resumed": bool,
+        "shard_index": int,
+        "shard_count": int,
     },
     "batch": {
         "seq": int,
@@ -84,60 +86,40 @@ _SCHEMA_V2 = {
         "wall_s": float,
         "runs_per_sec": float,
     },
+    # Written by `campaign merge`: what each shard contributed and what
+    # was quarantined on the way in.
+    "merge": {
+        "campaign": str,
+        "shards": int,
+        "per_shard_runs": list,
+        "conflicts": int,
+        "gaps": int,
+        "runs": int,
+        "total": int,
+        "complete": bool,
+    },
 }
 
-#: v3 extends v2: sharded provenance on ``start`` plus the ``merge``
-#: summary record ``campaign merge`` emits (per-shard run counts and
-#: conflict totals, so a fused campaign's telemetry names what each
-#: shard contributed and what was quarantined on the way in).
-_SCHEMA_V3 = {kind: dict(fields) for kind, fields in _SCHEMA_V2.items()}
-_SCHEMA_V3["start"].update({"shard_index": int, "shard_count": int})
-_SCHEMA_V3["merge"] = {
-    "campaign": str,
-    "shards": int,
-    "per_shard_runs": list,
-    "conflicts": int,
-    "gaps": int,
-    "runs": int,
-    "total": int,
-    "complete": bool,
-}
 
-#: Schema versions this validator speaks; the writer always emits the
-#: newest one.
-_SCHEMAS = {2: _SCHEMA_V2, 3: _SCHEMA_V3}
+def check_fields(entry, fields: dict, where: str) -> None:
+    """Raise ``ValueError`` unless ``entry`` is an object with ``fields``.
 
-
-def validate_telemetry_record(record: dict) -> None:
-    """Raise ``ValueError`` unless ``record`` matches its version's schema."""
-    if not isinstance(record, dict):
-        raise ValueError(f"telemetry record must be an object, got {type(record).__name__}")
-    schema = _SCHEMAS.get(record.get("v"))
-    if schema is None:
-        raise ValueError(
-            f"telemetry schema version {record.get('v')!r} "
-            f"(expected one of {sorted(_SCHEMAS)})"
-        )
-    kind = record.get("kind")
-    fields = schema.get(kind)
-    if fields is None:
-        raise ValueError(
-            f"unknown telemetry record kind {kind!r} for schema "
-            f"v{record['v']} (expected one of {sorted(schema)})"
-        )
+    ``fields`` maps each required name to its type.  ``int`` rejects
+    bools; ``float`` accepts ints too (JSON round-trips 1.0 -> 1
+    sometimes); ``list`` means a list of ints (run counts or indices).
+    Errors read ``"<where> missing field 'x'"`` and the like.
+    """
+    if not isinstance(entry, dict):
+        raise ValueError(f"{where} must be an object, got {type(entry).__name__}")
     for name, expected in fields.items():
-        if name not in record:
-            raise ValueError(f"telemetry {kind!r} record missing field {name!r}")
-        value = record[name]
-        # ints are acceptable floats (JSON round-trips 1.0 -> 1 sometimes),
-        # but bools are not acceptable ints.
+        if name not in entry:
+            raise ValueError(f"{where} missing field {name!r}")
+        value = entry[name]
         if expected is float:
             ok = isinstance(value, (int, float)) and not isinstance(value, bool)
         elif expected is int:
             ok = isinstance(value, int) and not isinstance(value, bool)
         elif expected is list:
-            # Lists of non-negative run counts/indices (`abandoned`'s
-            # in_flight, `merge`'s per_shard_runs).
             ok = isinstance(value, list) and all(
                 isinstance(v, int) and not isinstance(v, bool) for v in value
             )
@@ -145,50 +127,78 @@ def validate_telemetry_record(record: dict) -> None:
             ok = isinstance(value, expected)
         if not ok:
             raise ValueError(
-                f"telemetry {kind!r} field {name!r} must be "
-                f"{expected.__name__}, got {type(value).__name__}"
+                f"{where} field {name!r} must be {expected.__name__}, "
+                f"got {type(value).__name__}"
             )
+
+
+def validate_jsonl(path, check) -> int:
+    """Call ``check(entry, where)`` on every line of a JSONL sidecar.
+
+    Returns the number of entries.  ``where`` names the file and line,
+    and a line that is not JSON raises ``ValueError`` the same way.
+    """
+    count = 0
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            where = f"{path}: line {lineno}:"
+            try:
+                entry = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{where} {exc}") from exc
+            check(entry, where)
+            count += 1
+    return count
+
+
+def validate_telemetry_record(record: dict) -> None:
+    """Raise ``ValueError`` unless ``record`` matches the v3 schema."""
+    if not isinstance(record, dict):
+        raise ValueError(f"telemetry record must be an object, got {type(record).__name__}")
+    if record.get("v") != TELEMETRY_SCHEMA_VERSION:
+        raise ValueError(
+            f"telemetry schema version {record.get('v')!r} is not supported "
+            f"(only v{TELEMETRY_SCHEMA_VERSION} is read)"
+        )
+    kind = record.get("kind")
+    if kind not in _SCHEMA:
+        raise ValueError(
+            f"unknown telemetry record kind {kind!r} "
+            f"(expected one of {sorted(_SCHEMA)})"
+        )
+    check_fields(record, _SCHEMA[kind], f"telemetry {kind!r} record")
 
 
 def validate_telemetry_file(path) -> int:
     """Validate every record in a ``telemetry.jsonl``; returns the count.
 
-    Checks the schema of each line (v2 and v3 files both validate) plus
-    the envelope invariants a whole file must satisfy: the first record
-    is ``start`` (an execution narration) or ``merge`` (a ``campaign
-    merge`` narration), ``start`` appears at most once, and nothing
-    follows a ``finish`` record.  Raises ``ValueError`` on the first
-    violation.
+    Checks the schema of each line plus the envelope invariants a whole
+    file must satisfy: the first record is ``start`` (an execution
+    narration) or ``merge`` (a ``campaign merge`` narration), ``start``
+    appears at most once, and nothing follows a ``finish`` record.
+    Raises ``ValueError`` on the first violation.
     """
-    count = 0
-    finished = False
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from exc
-            try:
-                validate_telemetry_record(record)
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from exc
-            if finished:
-                raise ValueError(
-                    f"{path}: line {lineno}: record after 'finish'"
-                )
-            if count == 0 and record["kind"] not in ("start", "merge"):
-                raise ValueError(
-                    f"{path}: line {lineno}: first record must be 'start' "
-                    f"or 'merge', got {record['kind']!r}"
-                )
-            if count > 0 and record["kind"] == "start":
-                raise ValueError(f"{path}: line {lineno}: duplicate 'start'")
-            if record["kind"] == "finish":
-                finished = True
-            count += 1
+    seen: set[str] = set()  # record kinds so far
+
+    def check(record, where):
+        try:
+            validate_telemetry_record(record)
+        except ValueError as exc:
+            raise ValueError(f"{where} {exc}") from exc
+        if "finish" in seen:
+            raise ValueError(f"{where} record after 'finish'")
+        if not seen and record["kind"] not in ("start", "merge"):
+            raise ValueError(
+                f"{where} first record must be 'start' or 'merge', "
+                f"got {record['kind']!r}"
+            )
+        if seen and record["kind"] == "start":
+            raise ValueError(f"{where} duplicate 'start'")
+        seen.add(record["kind"])
+
+    count = validate_jsonl(path, check)
     if count == 0:
         raise ValueError(f"{path}: empty telemetry file")
     return count

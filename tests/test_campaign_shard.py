@@ -29,13 +29,12 @@ from repro.campaign.runner import (
     InlineExecutor,
     create_executor,
 )
-from repro.campaign.shard import (
+from repro.campaign.checkpoint import (
     load_shard_manifest,
-    parse_shard,
-    shard_payloads,
     spec_fingerprint,
     validate_shard_manifest,
 )
+from repro.campaign.shard import parse_shard, shard_payloads
 
 
 def _spec(**overrides) -> CampaignSpec:
@@ -252,6 +251,32 @@ def test_conflicting_duplicates_are_quarantined_never_merged(tmp_path, anchor):
     # campaign is byte-identical to a single-host run
     CampaignRunner(_spec(), workers=1, out_dir=out).resume()
     assert campaign_artifacts(out) == anchor
+
+
+def test_remerging_keeps_each_conflict_copy_once(tmp_path):
+    """Regression: re-merging the same shards appended every quarantined
+    copy again (2, then 4, then 6 lines); merges are idempotent."""
+    parent = tmp_path / "campaign"
+    shard_dirs = _run_shards(parent, 2)
+    with open(os.path.join(shard_dirs[0], "results.jsonl"),
+              encoding="utf-8") as fh:
+        forged = json.loads(fh.readline())
+    forged["summary"]["pdr"] = -1.0
+    with open(os.path.join(shard_dirs[1], "results.jsonl"), "a",
+              encoding="utf-8") as fh:
+        fh.write(json.dumps(forged, sort_keys=True) + "\n")
+
+    out = tmp_path / "merged"
+    snapshots = []
+    for _ in range(3):
+        merge_shards(_spec(), shard_dirs, out, allow_partial=True,
+                     telemetry=True)
+        snapshots.append({name: (out / name).read_bytes()
+                          for name in sorted(os.listdir(out))
+                          if name != "telemetry.jsonl"})
+    assert snapshots[0] == snapshots[1] == snapshots[2]
+    assert MERGE_CONFLICTS in snapshots[0]
+    assert validate_merge_conflicts_file(out / MERGE_CONFLICTS) == 2
 
 
 def test_identical_duplicates_dedup_silently(tmp_path, anchor):

@@ -203,10 +203,52 @@ def test_cli_report_follow_on_finished_campaign(followed_campaign, capsys):
     assert followed == plain
 
 
-def test_cli_report_summary_mode_sketch(followed_campaign, capsys):
-    assert main(["report", str(followed_campaign["out"]),
-                 "--summary-mode", "sketch", "--json"]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["summary_mode"] == "sketch"
-    group = report["groups"][0]
-    assert "p95" in group["metrics"]["pdr"]
+def test_cli_report_follow_on_a_shard_directory_ends_at_its_slice(
+    tmp_path, monkeypatch, capsys
+):
+    """Regression: ``report --follow`` on a finished shard directory
+    waited for the whole matrix (4/12) instead of the shard's slice."""
+    import repro.obs.follow as follow_mod
+
+    spec = CampaignSpec.from_dict(streaming_campaign_dict(shards=3,
+                                                          shard_index=0))
+    CampaignRunner(spec, workers=1, out_dir=tmp_path).run()
+    real_follow_report = follow_mod.follow_report
+
+    def bounded_follow_report(*args, **kwargs):
+        sleeps = []
+
+        def sleep(_seconds):
+            sleeps.append(_seconds)
+            if len(sleeps) >= 3:
+                raise AssertionError("report --follow kept polling a "
+                                     "finished shard directory")
+
+        return real_follow_report(*args, sleep=sleep, **kwargs)
+
+    monkeypatch.setattr(follow_mod, "follow_report", bounded_follow_report)
+    assert main(["report", str(tmp_path / "shard-0-of-3"), "--follow",
+                 "--interval", "0", "--json"]) == 0
+    captured = capsys.readouterr()
+    assert "follow: 4/4 runs aggregated" in captured.err
+    assert json.loads(captured.out)["runs"] == 4
+
+
+def test_cli_report_summary_mode_sketch(followed_campaign, tmp_path, capsys):
+    # the sketch mode is gone: the flag is an argparse error (exit 2)...
+    with pytest.raises(SystemExit) as excinfo:
+        main(["report", str(followed_campaign["out"]),
+              "--summary-mode", "sketch", "--json"])
+    assert excinfo.value.code == 2
+    assert "--summary-mode" in capsys.readouterr().err
+
+    # ...and a spec that asks for it is refused, naming the removal
+    out = tmp_path / "sketch-spec"
+    out.mkdir()
+    (out / "results.jsonl").write_bytes(
+        (followed_campaign["out"] / "results.jsonl").read_bytes())
+    (out / "spec.json").write_text(
+        json.dumps(streaming_campaign_dict(summary_mode="sketch")))
+    assert main(["report", str(out), "--follow", "--interval", "0.01"]) == 2
+    err = capsys.readouterr().err
+    assert "summary_mode 'sketch'" in err and "removed" in err

@@ -1,32 +1,20 @@
-"""Correctness tests for the streaming sketches behind campaign reports.
+"""Correctness tests for the column summaries behind campaign reports.
 
-The contract under test: in the exact regime (small N) the sketches
-reproduce the exact estimators bit-for-bit; beyond it they stay bounded,
-monotone, and deterministic -- and the sketch-mode campaign report is
-byte-stable across repeated and reordered aggregation.
+The contract under test: :class:`ExactSum` is the correctly-rounded sum
+whatever the insertion order (what keeps ``report --follow`` byte-equal
+to a post-hoc report), :func:`quantile_sorted` agrees with the metrics
+collector's percentile, and an exact campaign report carries
+mean/min/max only.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import random
-import statistics
-
-import pytest
 
 from repro.campaign.aggregate import aggregate
 from repro.metrics.collector import percentile
-from repro.obs.sketch import (
-    ExactSum,
-    FixedGridHistogram,
-    MetricSketch,
-    P2Quantile,
-    Reservoir,
-    StreamingQuantile,
-    Welford,
-    quantile_sorted,
-)
+from repro.obs.sketch import ExactSum, quantile_sorted
 
 
 def _values(n, seed=3):
@@ -74,56 +62,7 @@ def test_exact_sum_merge_equals_single_feed():
     assert left.value() == whole.value()
 
 
-# -- Welford -----------------------------------------------------------------
-
-def test_welford_matches_statistics_module():
-    values = _values(400)
-    w = Welford()
-    for v in values:
-        w.add(v)
-    assert w.count == len(values)
-    assert w.mean == pytest.approx(statistics.fmean(values), rel=1e-12)
-    assert w.variance == pytest.approx(statistics.pvariance(values), rel=1e-9)
-
-
-def test_welford_merge_matches_single_pass():
-    values = _values(300, seed=9)
-    parts = [values[:50], values[50:210], values[210:]]
-    merged = Welford()
-    for part in parts:
-        shard = Welford()
-        for v in part:
-            shard.add(v)
-        merged.merge(shard)
-    single = Welford()
-    for v in values:
-        single.add(v)
-    assert merged.count == single.count
-    assert merged.mean == pytest.approx(single.mean, rel=1e-12)
-    assert merged.variance == pytest.approx(single.variance, rel=1e-9)
-
-
-# -- P^2 / StreamingQuantile: the exact-equality regime ----------------------
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-@pytest.mark.parametrize("q", [0.5, 0.95])
-def test_p2_is_exact_up_to_five_observations(n, q):
-    values = _values(n, seed=n)
-    est = P2Quantile(q)
-    for v in values:
-        est.add(v)
-    assert est.value() == percentile(values, q * 100.0)
-
-
-@pytest.mark.parametrize("n", [1, 5, 20, 64])
-def test_streaming_quantile_exact_below_buffer_limit(n):
-    values = _values(n, seed=n)
-    for q in (0.5, 0.95):
-        est = StreamingQuantile(q, exact_limit=64)
-        for v in values:
-            est.add(v)
-        assert est.value() == percentile(values, q * 100.0), f"n={n} q={q}"
-
+# -- quantile_sorted -------------------------------------------------------
 
 def test_quantile_sorted_agrees_with_collector_percentile():
     values = _values(37)
@@ -132,117 +71,7 @@ def test_quantile_sorted_agrees_with_collector_percentile():
         assert quantile_sorted(ordered, q) == percentile(values, q)
 
 
-# -- P^2 beyond the exact regime: bounded, accurate, deterministic -----------
-
-def test_p2_stays_within_observed_bounds():
-    values = _values(5000, seed=17)
-    for q in (0.05, 0.5, 0.95):
-        est = P2Quantile(q)
-        for v in values:
-            est.add(v)
-        assert min(values) <= est.value() <= max(values)
-
-
-def test_p2_accuracy_on_large_uniform_stream():
-    rng = random.Random(23)
-    values = [rng.uniform(0.0, 1.0) for _ in range(20000)]
-    for q in (0.5, 0.95):
-        est = P2Quantile(q)
-        for v in values:
-            est.add(v)
-        assert est.value() == pytest.approx(q, abs=0.02)
-
-
-def test_p2_is_deterministic_for_a_fixed_feed_order():
-    values = _values(1000, seed=31)
-    results = set()
-    for _ in range(3):
-        est = P2Quantile(0.95)
-        for v in values:
-            est.add(v)
-        results.add(est.value())
-    assert len(results) == 1
-
-
-def test_metric_sketch_quantiles_are_monotone_in_q():
-    sketch = MetricSketch()
-    for v in _values(2000, seed=41):
-        sketch.add(v)
-    stats = sketch.stats(sketch=True)
-    assert stats["min"] <= stats["p50"] <= stats["p95"] <= stats["max"]
-    assert stats["min"] <= stats["mean"] <= stats["max"]
-
-
-# -- FixedGridHistogram: exact merge algebra ---------------------------------
-
-def test_histogram_merge_is_associative_and_commutative():
-    chunks = [_values(70, seed=s) for s in (1, 2, 3)]
-
-    def build(feed):
-        h = FixedGridHistogram(-50.0, 150.0, bins=64)
-        for v in feed:
-            h.add(v)
-        return h
-
-    def state(h):
-        return (h.counts, h.count, h.min, h.max)
-
-    a, b, c = (build(chunk) for chunk in chunks)
-    ab_c = build(chunks[0])
-    ab_c.merge(b)
-    ab_c.merge(c)
-
-    a2, b2, c2 = (build(chunk) for chunk in chunks)
-    bc = b2
-    bc.merge(c2)
-    a_bc = a2
-    a_bc.merge(bc)
-
-    single = build(chunks[0] + chunks[1] + chunks[2])
-    reordered = build(chunks[2] + chunks[0] + chunks[1])
-
-    assert state(ab_c) == state(a_bc) == state(single) == state(reordered)
-
-
-def test_histogram_quantile_monotone_and_clamped():
-    h = FixedGridHistogram(0.0, 100.0, bins=32)
-    for v in _values(500, seed=7):
-        h.add(v)  # includes values outside [0, 100]: clamped into edge bins
-    qs = [h.quantile(q) for q in (0.0, 10.0, 50.0, 90.0, 100.0)]
-    assert qs == sorted(qs)
-    assert all(h.min <= v <= h.max for v in qs)
-
-
-def test_histogram_rejects_mismatched_grids():
-    a = FixedGridHistogram(0.0, 1.0, bins=8)
-    b = FixedGridHistogram(0.0, 2.0, bins=8)
-    with pytest.raises(ValueError):
-        a.merge(b)
-
-
-# -- Reservoir ---------------------------------------------------------------
-
-def test_reservoir_is_deterministic_and_bounded():
-    feeds = [list(range(1000)), list(range(1000))]
-    samples = []
-    for feed in feeds:
-        r = Reservoir(capacity=32, seed=5)
-        for v in feed:
-            r.add(v)
-        assert len(r.items) == 32
-        assert r.count == 1000
-        samples.append(list(r.items))
-    assert samples[0] == samples[1]
-
-
-def test_reservoir_keeps_everything_below_capacity():
-    r = Reservoir(capacity=16, seed=0)
-    for v in range(10):
-        r.add(v)
-    assert r.items == list(range(10))
-
-
-# -- sketch-mode campaign reports: pinned bytes ------------------------------
+# -- campaign reports: exact columns only -----------------------------------
 
 def _fake_records(n_groups=3, replicates=10, seed=13):
     rng = random.Random(seed)
@@ -263,36 +92,6 @@ def _fake_records(n_groups=3, replicates=10, seed=13):
             })
             index += 1
     return records
-
-
-def test_sketch_report_bytes_are_pinned_across_runs_and_order():
-    """aggregate(mode=\"sketch\") must be byte-deterministic -- and, with
-    groups inside the exact-quantile buffer, order-independent too."""
-    records = _fake_records()
-    baseline = json.dumps(aggregate(records, mode="sketch"), sort_keys=True)
-    assert json.dumps(aggregate(records, mode="sketch"),
-                      sort_keys=True) == baseline
-    shuffled = list(records)
-    random.Random(99).shuffle(shuffled)
-    assert json.dumps(aggregate(shuffled, mode="sketch"),
-                      sort_keys=True) == baseline
-    report = json.loads(baseline)
-    assert report["summary_mode"] == "sketch"
-    for group in report["groups"]:
-        for stats in group["metrics"].values():
-            assert {"count", "mean", "min", "max", "p50", "p95"} <= set(stats)
-
-
-def test_sketch_mode_quantiles_exact_for_small_groups():
-    """Groups within EXACT_QUANTILE_LIMIT report the same p50/p95 an
-    exact percentile pass over the buffered values would."""
-    records = _fake_records(n_groups=1, replicates=40)
-    values = [r["summary"]["pdr"] for r in records]
-    report = aggregate(records, mode="sketch")
-    stats = report["groups"][0]["metrics"]["pdr"]
-    assert stats["p50"] == percentile(values, 50.0)
-    assert stats["p95"] == percentile(values, 95.0)
-    assert stats["count"] == 40
 
 
 def test_exact_mode_report_has_no_sketch_fields():

@@ -168,9 +168,10 @@ def test_validate_file_enforces_envelope(tmp_path):
         validate_telemetry_file(path)
 
 
-def test_validator_accepts_v2_files(tmp_path):
-    # Forward compatibility: sidecars written before the shard work (v2
-    # start records without shard fields, no merge kind) keep validating.
+def test_validator_refuses_v2_files(tmp_path):
+    # Only v3 is read: a v2 sidecar (start records without the shard
+    # fields, no merge kind) is refused with a one-line error naming
+    # its version.
     path = tmp_path / "telemetry.jsonl"
     start_v2 = {"v": 2, "kind": "start", "campaign": "old",
                 "total_runs": 1, "pending_runs": 1, "workers": 1,
@@ -181,10 +182,13 @@ def test_validator_accepts_v2_files(tmp_path):
     with open(path, "w", encoding="utf-8") as fh:
         for record in (start_v2, finish_v2):
             fh.write(json.dumps(record) + "\n")
-    assert validate_telemetry_file(path) == 2
+    with pytest.raises(ValueError, match="line 1: telemetry schema version 2 ") as excinfo:
+        validate_telemetry_file(path)
+    assert "\n" not in str(excinfo.value)
 
-    validate_telemetry_record(start_v2)
-    # ...but a v3 start without the shard fields is incomplete
+    with pytest.raises(ValueError, match="schema version 2 "):
+        validate_telemetry_record(start_v2)
+    # ...and a v3 start without the shard fields is incomplete
     with pytest.raises(ValueError, match="shard_index"):
         validate_telemetry_record({**start_v2, "v": 3})
 
@@ -194,7 +198,7 @@ def test_merge_record_is_v3_only(tmp_path):
              "per_shard_runs": [4, 4, 4], "conflicts": 0, "gaps": 0,
              "runs": 12, "total": 12, "complete": True}
     validate_telemetry_record(merge)
-    with pytest.raises(ValueError, match="unknown telemetry record kind"):
+    with pytest.raises(ValueError, match="schema version 2 "):
         validate_telemetry_record({**merge, "v": 2})
     with pytest.raises(ValueError, match="per_shard_runs"):
         validate_telemetry_record({**merge, "per_shard_runs": ["4"]})
