@@ -27,9 +27,9 @@ from __future__ import annotations
 import copy
 import itertools
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
-from repro.sim.rng import SimRNG, spawn_seed
+from repro.sim.rng import SimRNG, check_seed, spawn_seed
 
 #: Top-level axis segments that target the run rather than the scenario.
 _RUN_LEVEL_SEGMENTS = {"workload", "adversaries", "bootstrap", "duration"}
@@ -50,6 +50,31 @@ _KNOWN_KEYS = {
     "batch_size", "summary_mode", "retry_max_attempts", "retry_backoff",
     "shards", "shard_index",
 }
+
+
+#: JSON scalars are immutable, so a copy may share them.
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+def _copy_json(data):
+    """An independent copy of JSON-shaped ``data``, equal to its deepcopy.
+
+    Dicts and lists are rebuilt and JSON scalars shared; any other value
+    (a tuple, a numpy scalar) goes through ``copy.deepcopy``.  Spec data
+    is almost all dicts, lists and scalars, which this copies several
+    times faster than ``deepcopy``, and :meth:`CampaignSpec.expand`
+    copies it for every run.
+    """
+    kind = type(data)
+    if kind is dict:
+        return {key: value if type(value) in _SCALARS else _copy_json(value)
+                for key, value in data.items()}
+    if kind is list:
+        return [value if type(value) in _SCALARS else _copy_json(value)
+                for value in data]
+    if kind in _SCALARS:
+        return data
+    return copy.deepcopy(data)
 
 
 def check_summary_mode(mode) -> None:
@@ -90,7 +115,13 @@ class RunSpec:
     timeout: float
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The run's fields as a dict; nested data is shared, not copied.
+
+        :meth:`CampaignSpec.expand` already gave every run its own copy
+        of each nested dict and list, so the dict is independent of
+        every other run and of the spec.
+        """
+        return dict(vars(self))
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunSpec":
@@ -154,11 +185,11 @@ class CampaignSpec:
             name=str(data.get("name", "campaign")),
             seed=int(data.get("seed", 0)),
             replicates=int(data.get("replicates", 1)),
-            base=copy.deepcopy(data["base"]),
-            axes=copy.deepcopy(data.get("axes", {})),
-            samples=copy.deepcopy(data.get("samples", {})),
+            base=_copy_json(data["base"]),
+            axes=_copy_json(data.get("axes", {})),
+            samples=_copy_json(data.get("samples", {})),
             workload={**_DEFAULT_WORKLOAD, **data.get("workload", {})},
-            adversaries=copy.deepcopy(data.get("adversaries", [])),
+            adversaries=_copy_json(data.get("adversaries", [])),
             bootstrap={**_DEFAULT_BOOTSTRAP, **data.get("bootstrap", {})},
             duration=float(data.get("duration", 30.0)),
             timeout=float(data.get("timeout", 120.0)),
@@ -171,6 +202,8 @@ class CampaignSpec:
             shard_index=(int(data["shard_index"])
                          if data.get("shard_index") is not None else None),
         )
+        # derive_seed would refuse it only at expansion, deep in a verb
+        check_seed(spec.seed, "seed")
         if spec.replicates < 1:
             raise ValueError("replicates must be >= 1")
         if spec.batch_size is not None and spec.batch_size < 1:
@@ -204,12 +237,12 @@ class CampaignSpec:
             "name": self.name,
             "seed": self.seed,
             "replicates": self.replicates,
-            "base": copy.deepcopy(self.base),
-            "axes": copy.deepcopy(self.axes),
-            "samples": copy.deepcopy(self.samples),
-            "workload": copy.deepcopy(self.workload),
-            "adversaries": copy.deepcopy(self.adversaries),
-            "bootstrap": copy.deepcopy(self.bootstrap),
+            "base": _copy_json(self.base),
+            "axes": _copy_json(self.axes),
+            "samples": _copy_json(self.samples),
+            "workload": _copy_json(self.workload),
+            "adversaries": _copy_json(self.adversaries),
+            "bootstrap": _copy_json(self.bootstrap),
             "duration": self.duration,
             "timeout": self.timeout,
             "batch_size": self.batch_size,
@@ -276,29 +309,24 @@ class CampaignSpec:
         for params in grid + sampled:
             for replicate in range(self.replicates):
                 seed = spawn_seed(self.seed, index)
-                scenario = copy.deepcopy(self.base)
+                scenario = _copy_json(self.base)
                 run_level = {
-                    "workload": copy.deepcopy(self.workload),
-                    "adversaries": copy.deepcopy(self.adversaries),
-                    "bootstrap": copy.deepcopy(self.bootstrap),
+                    "workload": _copy_json(self.workload),
+                    "adversaries": _copy_json(self.adversaries),
+                    "bootstrap": _copy_json(self.bootstrap),
                     "duration": self.duration,
                 }
                 for path, value in params.items():
                     head = path.split(".", 1)[0]
-                    if head in _RUN_LEVEL_SEGMENTS:
-                        if path == head:
-                            run_level[head] = copy.deepcopy(value)
-                        else:
-                            set_by_path(run_level, path, copy.deepcopy(value))
-                    else:
-                        set_by_path(scenario, path, copy.deepcopy(value))
+                    target = run_level if head in _RUN_LEVEL_SEGMENTS else scenario
+                    set_by_path(target, path, _copy_json(value))
                 scenario["seed"] = seed
                 runs.append(RunSpec(
                     run_id=f"{self.name}-{index:04d}",
                     index=index,
                     replicate=replicate,
                     seed=seed,
-                    params=copy.deepcopy(params),
+                    params=_copy_json(params),
                     scenario=scenario,
                     workload=run_level["workload"],
                     adversaries=run_level["adversaries"],

@@ -10,8 +10,7 @@ signature covers a different source).
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.crypto.keys import PublicKey
 from repro.ipv6.address import IPv6Address
@@ -62,19 +61,24 @@ class RouteCache:
             raise ValueError("capacity and ttl must be positive")
         self.capacity = capacity
         self.ttl = ttl
-        # insertion-ordered for LRU; key is (dest, route) so alternates coexist
-        self._entries: OrderedDict[tuple[IPv6Address, Route], CachedRoute] = OrderedDict()
+        # Insertion order is LRU order; key is (dest, route) so alternates
+        # coexist.  A plain dict: iterating an OrderedDict looks each key
+        # up again, re-hashing every address of every cached route.
+        self._entries: dict[tuple[IPv6Address, Route], CachedRoute] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
 
+    def __iter__(self):
+        """Every cached route, least recently stored first."""
+        return iter(self._entries.values())
+
     def put(self, entry: CachedRoute) -> None:
         key = (entry.dest, entry.route)
-        if key in self._entries:
-            self._entries.pop(key)
+        self._entries.pop(key, None)
         self._entries[key] = entry
         while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
+            del self._entries[next(iter(self._entries))]
 
     def routes_to(self, dest: IPv6Address, now: float) -> list[CachedRoute]:
         """All live routes to ``dest`` (expired ones are pruned on the way)."""

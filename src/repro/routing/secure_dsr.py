@@ -824,7 +824,7 @@ class SecureDSRRouter:
         routes = [p.route + (p.packet.dip,) for p in self._pending_acks.values()]
         # Every cached route counts too: the report may concern a route we
         # hold for any destination, not just one with a packet in flight.
-        for entry in list(self.cache._entries.values()):
+        for entry in self.cache:
             routes.append(entry.route + (entry.dest,))
         for route in routes:
             path = (self.node.ip,) + route

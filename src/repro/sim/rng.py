@@ -10,22 +10,37 @@ SHA-256, so
   (unlike sharing one ``random.Random``).
 
 ``SimRNG`` wraps :class:`numpy.random.Generator` for bulk vectorised
-draws and exposes a few protocol-centric helpers (nonce, jitter).
+draws and exposes a few protocol-centric helpers (nonce, jitter).  A
+stream builds its generator on its first draw: a run creates many
+streams it never draws from, and creating one costs only the SHA-256
+of :func:`derive_seed`.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
+
+
+def check_seed(seed: int, name: str = "master_seed") -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``0 <= seed < 2**128``.
+
+    :func:`derive_seed` packs a master seed into 16 unsigned bytes.
+    """
+    if not 0 <= seed < 2 ** 128:
+        raise ValueError(f"{name} must be in [0, 2**128), got {seed}")
 
 
 def derive_seed(master_seed: int, stream: str) -> int:
     """Derive a 64-bit child seed from ``(master_seed, stream)``.
 
     Uses SHA-256 over a canonical encoding; collision-free in practice
-    and stable across platforms and Python versions.
+    and stable across platforms and Python versions.  A master seed
+    outside ``[0, 2**128)`` raises ``ValueError``.
     """
+    check_seed(master_seed)
     payload = master_seed.to_bytes(16, "big", signed=False) + b"/" + stream.encode()
     digest = hashlib.sha256(payload).digest()
     return int.from_bytes(digest[:8], "big")
@@ -56,11 +71,19 @@ class SimRNG:
     """
 
     def __init__(self, master_seed: int, stream: str = "default"):
-        if master_seed < 0:
-            raise ValueError("master_seed must be non-negative")
         self.master_seed = master_seed
         self.stream = stream
-        self._gen = np.random.Generator(np.random.PCG64(derive_seed(master_seed, stream)))
+        # checks the master seed here, not at the first draw
+        self._child_seed = derive_seed(master_seed, stream)
+
+    @functools.cached_property
+    def _gen(self) -> np.random.Generator:
+        """The stream's generator, built on the first draw.
+
+        Once built it sits in the instance dict, which shadows this
+        descriptor, so later draws read it there: no branch, no call.
+        """
+        return np.random.Generator(np.random.PCG64(self._child_seed))
 
     # -- scalar draws ---------------------------------------------------
     def random(self) -> float:

@@ -140,3 +140,31 @@ def test_constructor_validation():
         RouteCache(capacity=0)
     with pytest.raises(ValueError):
         RouteCache(ttl=0.0)
+
+
+def test_lru_order_ttl_expiry_and_lookup_order_are_pinned():
+    """Insertion order is LRU order: a re-put moves a route to the back,
+    eviction takes the front, expiry keeps the order of the survivors,
+    and routes_to lists one destination's routes in that order."""
+    cache = RouteCache(capacity=4, ttl=10.0)
+    r1, r2, r3 = entry(route=(A,), t=0.0), entry(route=(B,), t=1.0), entry(route=(C,), t=2.0)
+    other = entry(dest=C, route=(A,), t=3.0)
+    for e in (r1, r2, r3, other):
+        cache.put(e)
+    assert list(cache) == [r1, r2, r3, other]
+    assert cache.routes_to(D, now=3.0) == [r1, r2, r3]
+
+    r1_again = entry(route=(A,), t=4.0)
+    cache.put(r1_again)  # refreshed: moves behind every other route
+    assert list(cache) == [r2, r3, other, r1_again]
+    assert cache.routes_to(D, now=4.0) == [r2, r3, r1_again]
+
+    newest = entry(dest=B, route=(), t=5.0)
+    cache.put(newest)  # over capacity: the least recently stored goes
+    assert list(cache) == [r3, other, r1_again, newest]
+
+    # r3 (t=2) is past its TTL at 12.5; the rest keep their order
+    assert cache.routes_to(C, now=12.5) == [other]
+    assert list(cache) == [other, r1_again, newest]
+    assert cache.routes_to(D, now=14.5) == []
+    assert list(cache) == [newest]

@@ -1,10 +1,15 @@
 """Unit tests for deterministic RNG streams."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from repro.campaign import CampaignSpec, execute_run
 from repro.sim.kernel import Simulator
 from repro.sim.rng import SimRNG, derive_seed, spawn_seed
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_same_seed_same_stream_reproduces():
@@ -129,6 +134,17 @@ def test_negative_master_seed_rejected():
         SimRNG(-1)
 
 
+@pytest.mark.parametrize("seed", [-1, 2 ** 128])
+def test_out_of_range_master_seed_fails_at_construction_not_first_draw(seed):
+    with pytest.raises(ValueError, match="master_seed"):
+        SimRNG(seed, "x")
+    with pytest.raises(ValueError, match="master_seed"):
+        derive_seed(seed, "x")
+    with pytest.raises(ValueError, match="master_seed"):
+        Simulator(seed=seed).rng("x")
+    assert SimRNG(2 ** 128 - 1, "x").random() == SimRNG(2 ** 128 - 1, "x").random()
+
+
 def test_spawn_seed_reproducible_and_distinct():
     # reproducible: depends only on (master_seed, run_index)
     assert spawn_seed(7, 0) == spawn_seed(7, 0)
@@ -170,3 +186,111 @@ def test_random_batch_shape_bounds_and_validation():
     assert (arr >= 0.0).all() and (arr < 1.0).all()
     with pytest.raises(ValueError):
         rng.random_batch(-1)
+
+
+# -- generators are built on the first draw ----------------------------------
+
+#: Every drawing method, with a call on a SimRNG and the same draw made
+#: straight on a numpy Generator, the way each method is specified.
+POPULATION = list(range(10))
+DRAWS = [
+    ("random", lambda r: r.random(), lambda g: float(g.random())),
+    ("uniform", lambda r: r.uniform(2.0, 5.0), lambda g: float(g.uniform(2.0, 5.0))),
+    ("randint", lambda r: r.randint(3, 9), lambda g: int(g.integers(3, 10))),
+    ("choice", lambda r: r.choice("abcdef"), lambda g: "abcdef"[int(g.integers(0, 6))]),
+    ("sample", lambda r: r.sample(POPULATION, 4),
+     lambda g: [POPULATION[int(i)] for i in g.choice(10, size=4, replace=False)]),
+    ("shuffle", lambda r: _shuffled(r.shuffle), lambda g: _shuffled(g.shuffle)),
+    ("nonce", lambda r: r.nonce(48), lambda g: int.from_bytes(g.bytes(6), "big")),
+    ("bytes", lambda r: r.bytes(5), lambda g: g.bytes(5)),
+    ("random_batch", lambda r: r.random_batch(7), lambda g: g.random(7)),
+    ("uniform_array", lambda r: r.uniform_array(-1.0, 1.0, (3, 2)),
+     lambda g: g.uniform(-1.0, 1.0, size=(3, 2))),
+    ("normal_array", lambda r: r.normal_array(0.5, 2.0, 4),
+     lambda g: g.normal(0.5, 2.0, size=4)),
+    ("expovariate", lambda r: r.expovariate(4.0), lambda g: float(g.exponential(0.25))),
+    ("jitter", lambda r: r.jitter(10.0, 0.2), lambda g: float(g.uniform(8.0, 12.0))),
+]
+
+
+def _shuffled(shuffle) -> list:
+    items = list(POPULATION)
+    shuffle(items)
+    return items
+
+
+def _same(got, want) -> bool:
+    if isinstance(want, np.ndarray):
+        return type(got) is np.ndarray and np.array_equal(got, want)
+    return type(got) is type(want) and got == want
+
+
+def _generator(seed: int, stream: str) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(derive_seed(seed, stream)))
+
+
+def _built(rng: SimRNG) -> bool:
+    return "_gen" in vars(rng)
+
+
+@pytest.mark.parametrize("name,draw,direct", DRAWS, ids=[d[0] for d in DRAWS])
+def test_first_draw_of_every_method_matches_a_direct_generator(name, draw, direct):
+    rng = SimRNG(2003, f"first/{name}")
+    assert not _built(rng)
+    gen = _generator(2003, f"first/{name}")
+    assert _same(draw(rng), direct(gen))
+    assert _built(rng)
+    assert _same(draw(rng), direct(gen))
+
+
+def test_mixed_scalar_and_batch_draws_match_a_direct_generator():
+    rng, gen = SimRNG(7919, "mixed"), _generator(7919, "mixed")
+    for _ in range(3):
+        for name, draw, direct in DRAWS + DRAWS[::-1]:
+            assert _same(draw(rng), direct(gen)), name
+    child = rng.spawn("kid")
+    assert _same(child.random_batch(5), _generator(7919, "mixed/kid").random(5))
+
+
+def test_creating_a_stream_builds_no_generator():
+    sim = Simulator(seed=5)
+    streams = [sim.rng("a"), sim.rng("b"), SimRNG(5, "c"), SimRNG(5, "c").spawn("d")]
+    assert not any(_built(s) for s in streams)
+    streams[1].random_batch(0)
+    assert [_built(s) for s in streams] == [False, True, False, False]
+
+
+def test_a_run_builds_generators_for_exactly_the_streams_it_draws_from(monkeypatch):
+    created, drawn = [], set()
+    init = SimRNG.__init__
+
+    def tracking_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        created.append(self)
+
+    monkeypatch.setattr(SimRNG, "__init__", tracking_init)
+    for name, _, _ in DRAWS:
+        def tracking_draw(self, *args, _method=getattr(SimRNG, name), **kwargs):
+            drawn.add(id(self))
+            return _method(self, *args, **kwargs)
+        monkeypatch.setattr(SimRNG, name, tracking_draw)
+
+    def built() -> set:
+        return {id(s) for s in created if _built(s)}
+
+    at_build = []
+    spec = CampaignSpec.from_file(ROOT / "campaigns" / "reference" / "spec.json")
+    run = next(r for r in spec.expand() if r.scenario["radio"]["loss_rate"] > 0)
+    record = execute_run(run.to_dict(), on_build=lambda _scenario: at_build.append(
+        (len(created), built(), set(drawn))))
+    assert record["status"] == "ok"
+    assert record["summary"]["hosts"] == 4
+
+    streams_at_build, built_at_build, drawn_at_build = at_build[0]
+    # build() draws only each node's sequence base and the DNS's own CGA
+    assert built_at_build == drawn_at_build
+    assert len(drawn_at_build) == 6 < streams_at_build
+    # bootstrap, DNS, routing, loss and traffic draw from more streams;
+    # the rest of what the run created stays unbuilt
+    assert built() == drawn
+    assert len(drawn_at_build) < len(drawn) < len(created)
