@@ -237,7 +237,7 @@ class BootstrapManager:
         if not self.node.configured or self.node.ip not in rr:
             return False
         idx = rr.index(self.node.ip)
-        fwd = msg.replace(hop_limit=msg.hop_limit - 1)
+        fwd = msg.forwarded()
         if fwd.hop_limit <= 0:
             return True
         if idx == 0:
@@ -266,9 +266,7 @@ class BootstrapManager:
         self._seen_warnings.add(key)
         if self.node.configured and msg.hop_limit > 1:
             delay = self._rng.uniform(0.0, self.cfg.rebroadcast_jitter)
-            self.node.sim.schedule(
-                delay, self.node.broadcast, msg.replace(hop_limit=msg.hop_limit - 1)
-            )
+            self.node.sim.schedule(delay, self.node.broadcast, msg.forwarded())
 
     def _consume_arep(self, msg: AREP) -> None:
         """Joiner-side AREP validation: CGA check + challenge signature."""

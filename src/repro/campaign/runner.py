@@ -266,12 +266,6 @@ def _run_body(run: dict, on_build=None) -> dict:
     _start_workload(scenario, honest, run.get("workload", {}), run["seed"])
     scenario.run(duration=float(run.get("duration", 30.0)))
 
-    # Close the encode window at the run boundary (workers are reused
-    # across runs).  Equivalent to the immediate summary() read below
-    # today, since only the dict outlives this call -- the freeze makes
-    # the per-run attribution explicit rather than an accident of
-    # object lifetime (see MetricsCollector.freeze).
-    scenario.metrics.freeze()
     summary = scenario.metrics.summary()
     summary["hosts"] = len(honest)
     summary["configured_hosts"] = sum(1 for h in honest if h.configured)

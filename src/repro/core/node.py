@@ -351,8 +351,8 @@ class Node:
 
     def _trace_send(self, msg: Message, next_hop: IPv6Address | None = None) -> int:
         name = type(msg).META.name
-        # Wire cache: a message already encoded (for signing, a previous
-        # forward of the same copy, ...) is never re-encoded for its size.
+        # Sized once per copy: a relayed copy took its size from the copy
+        # it was made from, so only originated messages encode here.
         size = msg.wire_size()
         self.ctx.metrics.on_send(name, size)
         self.ctx.trace.record(

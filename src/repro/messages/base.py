@@ -2,9 +2,11 @@
 
 A :class:`Message` is an immutable record; mutation patterns like
 "append my identity to the route record and rebroadcast" produce new
-objects (``dataclasses.replace`` under the hood), which prevents an
-intermediate node from accidentally sharing state with queued copies of
-the same flood.
+objects (:meth:`Message.replace` copies the field dict), which prevents
+an intermediate node from accidentally sharing state with queued copies
+of the same flood.  A relayed copy also takes its wire size from the
+copy it was made from (:meth:`Message.forwarded` and the per-type relay
+helpers), so relaying never runs the encoder.
 
 :class:`Writer`/:class:`Reader` are tiny big-endian binary builders used
 by the codec; keeping them here lets message modules define their own
@@ -14,7 +16,7 @@ by the codec; keeping them here lets message modules define their own
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import ClassVar
 
 from repro.crypto.backend import get_backend
@@ -51,35 +53,70 @@ class Message:
     def replace(self, **changes) -> "Message":
         """Functional update (fields are immutable).
 
-        The new object starts with a cold wire cache: changed fields mean
-        changed bytes, and :meth:`wire_bytes` re-encodes lazily.
+        Builds the copy from this instance's field dict without running
+        ``__init__`` -- the same object ``dataclasses.replace`` builds,
+        since no message has a ``__post_init__`` or an ``init=False``
+        field.  The copy carries neither wire bytes nor a size: changed
+        fields mean changed bytes, and :meth:`wire_size` re-encodes
+        lazily.  A name that is not a field raises ``TypeError``.
         """
-        return replace(self, **changes)
+        state = self.__dict__.copy()
+        state.pop("_wire_cache", None)
+        state.pop("_wire_size", None)
+        if not changes.keys() <= state.keys():
+            unknown = sorted(changes.keys() - state.keys())
+            raise TypeError(f"{type(self).__name__} has no field {unknown[0]!r}")
+        state.update(changes)
+        copy = object.__new__(type(self))
+        object.__setattr__(copy, "__dict__", state)
+        return copy
+
+    def forwarded(self) -> "Message":
+        """The copy a relay sends on: hop limit one lower.
+
+        ``hop_limit`` is a ``u8`` before and after, so the copy is the
+        size of this message.
+        """
+        return self._relayed(0, hop_limit=self.hop_limit - 1)
+
+    def _relayed(self, grown: int, **changes) -> "Message":
+        """``replace(**changes)`` whose wire size is this message's plus
+        the ``grown`` bytes the relay appended, so the copy never encodes."""
+        copy = self.replace(**changes)
+        copy.__dict__["_wire_size"] = self.wire_size() + grown
+        return copy
 
     # Wire cache ---------------------------------------------------------
+    # Both memos live in the instance dict, outside the dataclass fields:
+    # invisible to __eq__/__repr__ and dropped by replace().
     def wire_bytes(self) -> bytes:
         """This message's wire encoding, computed at most once.
 
         Messages are immutable wire objects, so the first encode (type id
-        byte + fields, via the codec) is cached on the instance; every
-        later consumer -- send-path size accounting, signing, tracing,
-        flood re-forwarding of the same copy -- reuses the same bytes.
-        The codec's ``encode_call_count()`` counts actual encodes, which
-        is how benchmarks prove "encode once per distinct message".
+        byte + fields, via the codec) is cached on the instance: the size
+        of an originated message, a DNS payload and a second send of the
+        same copy reuse the same bytes.  The codec's
+        ``encode_call_count()`` counts actual encodes.
         """
         cached = self.__dict__.get("_wire_cache")
         if cached is None:
             from repro.messages.codec import encode_message
 
             cached = encode_message(self)
-            # Frozen dataclass: bypass the immutability guard for the memo
-            # (not a field -- invisible to __eq__/__repr__/replace()).
-            object.__setattr__(self, "_wire_cache", cached)
+            self.__dict__["_wire_cache"] = cached
         return cached
 
     def wire_size(self) -> int:
-        """Encoded size in bytes (cached via :meth:`wire_bytes`)."""
-        return len(self.wire_bytes())
+        """Encoded size in bytes, cached on the instance.
+
+        A relayed copy was given its size by the relay helper that made
+        it; any other message takes the length of :meth:`wire_bytes`.
+        """
+        size = self.__dict__.get("_wire_size")
+        if size is None:
+            size = len(self.wire_bytes())
+            self.__dict__["_wire_size"] = size
+        return size
 
     def summary(self) -> str:
         """One-line human-readable form for traces."""
@@ -147,6 +184,10 @@ class Writer:
     def getvalue(self) -> bytes:
         return b"".join(self._chunks)
 
+    def __len__(self) -> int:
+        """Bytes written so far (how relay helpers size what they append)."""
+        return sum(map(len, self._chunks))
+
 
 class Reader:
     """Sequential big-endian binary reader with bounds checking."""
@@ -182,16 +223,38 @@ class Reader:
     def blob(self) -> bytes:
         return self._take(self.u16())
 
-    def text(self) -> str:
-        return self.blob().decode("utf-8")
+    def text(self, field: str) -> str:
+        data = self.blob()
+        try:
+            return data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CodecError(
+                f"{field}: invalid UTF-8 at byte {exc.start}"
+            ) from None
+
+    def flag(self, field: str) -> bool:
+        """A bool byte; only 0 and 1 decode (any other would re-encode as 1)."""
+        v = self.u8()
+        if v > 1:
+            raise CodecError(f"{field}: bool byte must be 0 or 1, got {v}")
+        return v == 1
 
     def address(self) -> IPv6Address:
         return IPv6Address(self._take(16))
 
-    def public_key(self) -> PublicKey:
-        backend_name = self.text()
+    def public_key(self, field: str) -> PublicKey:
+        backend_name = self.text(field)
         key_bytes = self.blob()
-        return get_backend(backend_name).decode_public_key(key_bytes)
+        try:
+            backend = get_backend(backend_name)
+        except KeyError:
+            raise CodecError(
+                f"{field}: unknown crypto backend {backend_name!r}"
+            ) from None
+        try:
+            return backend.decode_public_key(key_bytes)
+        except ValueError as exc:
+            raise CodecError(f"{field}: {exc}") from None
 
     @property
     def exhausted(self) -> bool:

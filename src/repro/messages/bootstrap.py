@@ -56,8 +56,14 @@ class AREQ(Message):
     hop_limit: int = 64
 
     def append_hop(self, hop: IPv6Address) -> "AREQ":
-        """The rebroadcast copy with ``hop`` appended to RR and TTL decremented."""
-        return self.replace(
+        """The rebroadcast copy with ``hop`` appended to RR and TTL decremented.
+
+        Its wire size is this message's plus one encoded address.
+        """
+        w = Writer()
+        w.address(hop)
+        return self._relayed(
+            len(w),
             route_record=self.route_record + (hop,),
             hop_limit=self.hop_limit - 1,
         )
@@ -75,7 +81,7 @@ class AREQ(Message):
         return cls(
             sip=r.address(),
             seq=r.u64(),
-            domain_name=r.text(),
+            domain_name=r.text("domain_name"),
             ch=r.u64(),
             route_record=_decode_route(r),
             hop_limit=r.u8(),
@@ -130,10 +136,10 @@ class AREP(Message):
             sip=r.address(),
             route_record=_decode_route(r),
             signature=r.blob(),
-            public_key=r.public_key(),
+            public_key=r.public_key("public_key"),
             rn=r.u64(),
             ch=r.u64(),
-            to_dns=bool(r.u8()),
+            to_dns=r.flag("to_dns"),
             hop_limit=r.u8(),
         )
 
@@ -172,7 +178,7 @@ class DREP(Message):
         return cls(
             sip=r.address(),
             route_record=_decode_route(r),
-            domain_name=r.text(),
+            domain_name=r.text("domain_name"),
             signature=r.blob(),
             hop_limit=r.u8(),
         )

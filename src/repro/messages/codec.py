@@ -62,9 +62,10 @@ for _cls in (
 
 
 #: Process-wide count of actual encode executions.  Cache hits through
-#: ``Message.wire_bytes`` do not increment it, so the delta across a
-#: simulation round measures exactly how many times the codec really ran
-#: (MetricsCollector snapshots it per run as ``encode_calls``).
+#: ``Message.wire_bytes`` and sizes a relayed copy took from its parent
+#: do not increment it, so the delta across a simulation round measures
+#: exactly how many times the codec really ran.  It counts host work and
+#: appears in no simulated summary.
 _encode_calls = 0
 
 
@@ -77,8 +78,9 @@ def encode_message(msg: Message) -> bytes:
     """Serialise ``msg`` to its wire form (type id byte + fields).
 
     This always runs the encoder; callers that may touch the same
-    message more than once should go through ``msg.wire_bytes()``, which
-    caches the result on the (immutable) message.
+    message more than once should go through ``msg.wire_bytes()`` or
+    ``msg.wire_size()``, which cache their result on the (immutable)
+    message.
     """
     global _encode_calls
     cls = type(msg)
@@ -92,7 +94,12 @@ def encode_message(msg: Message) -> bytes:
 
 
 def decode_message(data: bytes) -> Message:
-    """Inverse of :func:`encode_message`; raises :class:`CodecError` on junk."""
+    """Inverse of :func:`encode_message`; raises :class:`CodecError` on junk.
+
+    Only :class:`CodecError` escapes, and whatever decodes re-encodes to
+    the same bytes: every field has one encoding (bool bytes are 0 or 1,
+    text is valid UTF-8, keys name a known backend and have its length).
+    """
     if not data:
         raise CodecError("empty message")
     r = Reader(data)
@@ -106,7 +113,7 @@ def decode_message(data: bytes) -> Message:
 
 
 def wire_size(msg: Message) -> int:
-    """Encoded size of ``msg`` in bytes (served from the wire cache)."""
+    """Encoded size of ``msg`` in bytes (cached on the message)."""
     return msg.wire_size()
 
 

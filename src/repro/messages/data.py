@@ -13,7 +13,7 @@ from typing import ClassVar
 
 from repro.crypto.keys import PublicKey
 from repro.ipv6.address import IPv6Address
-from repro.messages.base import Message, MessageMeta, Reader, Writer
+from repro.messages.base import CodecError, Message, MessageMeta, Reader, Writer
 
 
 def _encode_route(w: Writer, route: tuple[IPv6Address, ...]) -> None:
@@ -66,9 +66,13 @@ class DataPacket(Message):
         return path[cursor + 1]
 
     def advance(self) -> "DataPacket":
-        """The copy held by the next hop."""
-        return self.replace(segment_index=self.segment_index + 1,
-                            hop_limit=self.hop_limit - 1)
+        """The copy held by the next hop.
+
+        ``segment_index`` stays a ``u16`` and ``hop_limit`` a ``u8``, so
+        the copy is the size of this packet.
+        """
+        return self._relayed(0, segment_index=self.segment_index + 1,
+                             hop_limit=self.hop_limit - 1)
 
     def _encode_fields(self, w: Writer) -> None:
         w.address(self.sip)
@@ -77,7 +81,7 @@ class DataPacket(Message):
         _encode_route(w, self.route)
         w.blob(self.payload)
         w.u16(self.segment_index & 0xFFFF)
-        w.u64(int(self.sent_at * 1e9))  # nanosecond-resolution timestamp
+        w.u64(round(self.sent_at * 1e9))  # nanosecond-resolution timestamp
         w.u8(self.hop_limit)
 
     @classmethod
@@ -90,7 +94,10 @@ class DataPacket(Message):
         seg = r.u16()
         if seg == 0xFFFF:
             seg = -1
-        sent_at = r.u64() / 1e9
+        ns = r.u64()
+        sent_at = ns / 1e9
+        if round(sent_at * 1e9) != ns:
+            raise CodecError(f"sent_at: {ns} ns does not survive decode -> encode")
         return cls(sip=sip, dip=dip, seq=seq, route=route, payload=payload,
                    segment_index=seg, sent_at=sent_at, hop_limit=r.u8())
 
@@ -133,7 +140,7 @@ class AckPacket(Message):
             seq=r.u64(),
             route=_decode_route(r),
             signature=r.blob(),
-            public_key=r.public_key(),
+            public_key=r.public_key("public_key"),
             rn=r.u64(),
             hop_limit=r.u8(),
         )

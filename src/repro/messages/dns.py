@@ -52,7 +52,8 @@ class DNSQuery(Message):
 
     @classmethod
     def _decode_fields(cls, r: Reader) -> "DNSQuery":
-        return cls(sip=r.address(), domain_name=r.text(), ch=r.u64(), hop_limit=r.u8())
+        return cls(sip=r.address(), domain_name=r.text("domain_name"),
+                   ch=r.u64(), hop_limit=r.u8())
 
 
 @dataclass(frozen=True)
@@ -88,9 +89,9 @@ class DNSResponse(Message):
     @classmethod
     def _decode_fields(cls, r: Reader) -> "DNSResponse":
         return cls(
-            domain_name=r.text(),
+            domain_name=r.text("domain_name"),
             ip=r.address(),
-            found=bool(r.u8()),
+            found=r.flag("found"),
             ch=r.u64(),
             signature=r.blob(),
             hop_limit=r.u8(),
@@ -119,7 +120,8 @@ class DNSUpdateChallenge(Message):
 
     @classmethod
     def _decode_fields(cls, r: Reader) -> "DNSUpdateChallenge":
-        return cls(domain_name=r.text(), ch=r.u64(), hop_limit=r.u8())
+        return cls(domain_name=r.text("domain_name"), ch=r.u64(),
+                   hop_limit=r.u8())
 
 
 @dataclass(frozen=True)
@@ -159,12 +161,12 @@ class DNSUpdateRequest(Message):
     @classmethod
     def _decode_fields(cls, r: Reader) -> "DNSUpdateRequest":
         return cls(
-            domain_name=r.text(),
+            domain_name=r.text("domain_name"),
             old_ip=r.address(),
             new_ip=r.address(),
             old_rn=r.u64(),
             new_rn=r.u64(),
-            public_key=r.public_key(),
+            public_key=r.public_key("public_key"),
             signature=r.blob(),
             hop_limit=r.u8(),
         )
@@ -199,9 +201,9 @@ class DNSUpdateReply(Message):
     @classmethod
     def _decode_fields(cls, r: Reader) -> "DNSUpdateReply":
         return cls(
-            domain_name=r.text(),
+            domain_name=r.text("domain_name"),
             new_ip=r.address(),
-            accepted=bool(r.u8()),
+            accepted=r.flag("accepted"),
             ch=r.u64(),
             signature=r.blob(),
             hop_limit=r.u8(),

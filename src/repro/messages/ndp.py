@@ -41,7 +41,8 @@ class NeighborSolicitation(Message):
 
     @classmethod
     def _decode_fields(cls, r: Reader) -> "NeighborSolicitation":
-        return cls(target=r.address(), domain_name=r.text(), hop_limit=r.u8())
+        return cls(target=r.address(), domain_name=r.text("domain_name"),
+                   hop_limit=r.u8())
 
 
 @dataclass(frozen=True)
@@ -71,7 +72,7 @@ class NeighborAdvertisement(Message):
     def _decode_fields(cls, r: Reader) -> "NeighborAdvertisement":
         return cls(
             target=r.address(),
-            domain_name=r.text(),
-            duplicate_name=bool(r.u8()),
+            domain_name=r.text("domain_name"),
+            duplicate_name=r.flag("duplicate_name"),
             hop_limit=r.u8(),
         )

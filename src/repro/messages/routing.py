@@ -37,7 +37,8 @@ class SRREntry:
 
     @classmethod
     def decode(cls, r: Reader) -> "SRREntry":
-        return cls(ip=r.address(), signature=r.blob(), public_key=r.public_key(), rn=r.u64())
+        return cls(ip=r.address(), signature=r.blob(),
+                   public_key=r.public_key("srr.public_key"), rn=r.u64())
 
 
 def _encode_srr(w: Writer, srr: tuple[SRREntry, ...]) -> None:
@@ -90,8 +91,15 @@ class RREQ(Message):
         return tuple(e.ip for e in self.srr)
 
     def append_entry(self, entry: SRREntry) -> "RREQ":
-        """Rebroadcast copy with this hop's identity proof appended."""
-        return self.replace(srr=self.srr + (entry,), hop_limit=self.hop_limit - 1)
+        """Rebroadcast copy with this hop's identity proof appended.
+
+        Its wire size is this message's plus the encoded ``entry``.
+        """
+        w = Writer()
+        entry.encode(w)
+        return self._relayed(
+            len(w), srr=self.srr + (entry,), hop_limit=self.hop_limit - 1
+        )
 
     def _encode_fields(self, w: Writer) -> None:
         w.address(self.sip)
@@ -111,7 +119,7 @@ class RREQ(Message):
             seq=r.u64(),
             srr=_decode_srr(r),
             source_signature=r.blob(),
-            source_public_key=r.public_key(),
+            source_public_key=r.public_key("source_public_key"),
             source_rn=r.u64(),
             hop_limit=r.u8(),
         )
@@ -160,7 +168,7 @@ class RREP(Message):
             seq=r.u64(),
             route=_decode_route(r),
             signature=r.blob(),
-            public_key=r.public_key(),
+            public_key=r.public_key("public_key"),
             rn=r.u64(),
             hop_limit=r.u8(),
         )
@@ -235,12 +243,12 @@ class CREP(Message):
             fresh_seq=r.u64(),
             fresh_route=_decode_route(r),
             fresh_signature=r.blob(),
-            fresh_public_key=r.public_key(),
+            fresh_public_key=r.public_key("fresh_public_key"),
             fresh_rn=r.u64(),
             cached_seq=r.u64(),
             cached_route=_decode_route(r),
             cached_signature=r.blob(),
-            cached_public_key=r.public_key(),
+            cached_public_key=r.public_key("cached_public_key"),
             cached_rn=r.u64(),
             hop_limit=r.u8(),
         )
@@ -293,7 +301,7 @@ class RERR(Message):
             reporter_ip=r.address(),
             broken_next_hop=r.address(),
             signature=r.blob(),
-            public_key=r.public_key(),
+            public_key=r.public_key("public_key"),
             rn=r.u64(),
             sip=r.address(),
             return_route=_decode_route(r),

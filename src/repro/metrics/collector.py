@@ -19,7 +19,6 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 
 from repro.ipv6.address import IPv6Address
-from repro.messages.codec import encode_call_count
 
 
 def _quantile_sorted(ordered: list[float], q: float) -> float:
@@ -81,19 +80,7 @@ class FlowStats:
 
 
 class MetricsCollector:
-    """Scenario-wide event sink.  See module docstring for the families.
-
-    ``encode_calls`` is delta-tracked from the *process-wide*
-    ``encode_call_count()`` counter, so it is only attributable to this
-    collector while at most one scenario is live per process at a time
-    and the collector's window is closed (:meth:`freeze`, or simply
-    discarding it) before the next run starts.  That is how the campaign
-    executes (workers run scenarios strictly sequentially and ship only
-    the frozen ``summary()`` dict across the process boundary, see
-    :mod:`repro.campaign.runner`); code that keeps an earlier run's
-    collector live through a later run, or interleaves two live
-    scenarios in one process, will see encodes cross-attributed.
-    """
+    """Scenario-wide event sink.  See module docstring for the families."""
 
     def __init__(self):
         # message-type name -> counters
@@ -118,13 +105,6 @@ class MetricsCollector:
         self.discovery_latencies: list[float] = []
         self.creps_used = 0
         self.rerrs_received = 0
-        # codec work: snapshot of the process-wide encode counter, so
-        # ``encode_calls`` reads "actual message encodes since this
-        # collector was created" -- the wire cache's proof of work saved.
-        # ``None`` base marks a frozen (merged) collector that reports
-        # only its folded-in total and never accrues further.
-        self._encode_calls_base: int | None = encode_call_count()
-        self._encode_calls_merged = 0
         # opt-in kernel instrumentation: a zero-arg callable returning
         # the kernel_stats dict, attached by Scenario.enable_kernel_stats
         self._kernel_stats_provider = None
@@ -134,40 +114,6 @@ class MetricsCollector:
         # opt-in fault-injection columns, same pattern (attached by
         # ScenarioBuilder.build when the fault plan has events)
         self._fault_stats_provider = None
-
-    @property
-    def encode_calls(self) -> int:
-        """Actual codec encode executions attributable to this collector.
-
-        Encodes executed since construction (collectors are created with
-        their scenario and read after its run, so this is "the run's
-        encodes" in the usual one-scenario-at-a-time flow), plus totals
-        folded in by :meth:`merge`.  A merged collector is frozen: it
-        reports exactly the sum of its children at merge time, and never
-        counts encodes that happen afterwards.  Wire-cache hits do not
-        count anywhere.
-        """
-        if self._encode_calls_base is None:
-            return self._encode_calls_merged
-        return (
-            encode_call_count() - self._encode_calls_base
-            + self._encode_calls_merged
-        )
-
-    def freeze(self) -> None:
-        """Close this collector's encode window at "now".  Idempotent.
-
-        A live collector's ``encode_calls`` window extends to the moment
-        it is read, so a collector kept alive past its own run absorbs
-        every later run's encodes in the same process.  Call ``freeze()``
-        at the end of a run whenever collectors from *sequential*
-        same-process runs will later be read or merged together.  The
-        campaign runner freezes at its run boundary before reading
-        ``summary()`` (campaign workers are reused across runs).
-        """
-        if self._encode_calls_base is not None:
-            self._encode_calls_merged = self.encode_calls
-            self._encode_calls_base = None
 
     def attach_kernel_stats(self, provider) -> None:
         """Surface kernel profiling in :meth:`summary` (opt-in).
@@ -348,8 +294,6 @@ class MetricsCollector:
             "crypto_sign_ops": self.crypto_total("sign"),
             "crypto_verify_ops": self.crypto_total("verify"),
             "crypto_verify_cache_hits": self.crypto_total("verify_cached"),
-            # codec
-            "encode_calls": self.encode_calls,
             # bootstrap
             "configured_nodes": len(self.dad_time),
             "dad_rounds_total": sum(self.dad_rounds.values()),
@@ -384,14 +328,6 @@ class MetricsCollector:
         across runs; ``dad_rounds`` sums on collision and ``dad_time``
         keeps the worst (max) time, so the merged view stays a
         conservative aggregate rather than silently overwriting.
-
-        ``encode_calls`` sums each child's reading at merge time, so
-        children that ran sequentially in *one* process must have been
-        :meth:`freeze`-d at their own run boundaries -- a still-live
-        earlier child's window covers the later runs too, double-counting
-        their encodes in the sum.  (The campaign never merges live
-        collectors: workers ship frozen ``summary()`` dicts, and the
-        aggregator combines those.)
         """
         merged = cls()
         for coll in collectors:
@@ -423,8 +359,4 @@ class MetricsCollector:
             merged.discovery_latencies.extend(coll.discovery_latencies)
             merged.creps_used += coll.creps_used
             merged.rerrs_received += coll.rerrs_received
-            merged._encode_calls_merged += coll.encode_calls
-        # Freeze: the merged view must not keep counting encodes that
-        # happen in this process after the merge (see encode_calls).
-        merged._encode_calls_base = None
         return merged

@@ -518,7 +518,7 @@ class SecureDSRRouter:
         # Reverse-path relay: find ourselves on the recorded route.
         if self.node.ip in msg.route and msg.hop_limit > 1:
             idx = msg.route.index(self.node.ip)
-            fwd = msg.replace(hop_limit=msg.hop_limit - 1)
+            fwd = msg.forwarded()
             next_hop = msg.route[idx - 1] if idx > 0 else msg.sip
             self.node.unicast_ip(next_hop, fwd)
 
@@ -559,7 +559,7 @@ class SecureDSRRouter:
             return
         if self.node.ip in msg.fresh_route and msg.hop_limit > 1:
             idx = msg.fresh_route.index(self.node.ip)
-            fwd = msg.replace(hop_limit=msg.hop_limit - 1)
+            fwd = msg.forwarded()
             next_hop = msg.fresh_route[idx - 1] if idx > 0 else msg.sprime_ip
             self.node.unicast_ip(next_hop, fwd)
 
@@ -655,7 +655,7 @@ class SecureDSRRouter:
             return
         if self.node.ip in msg.route and msg.hop_limit > 1:
             idx = msg.route.index(self.node.ip)
-            fwd = msg.replace(hop_limit=msg.hop_limit - 1)
+            fwd = msg.forwarded()
             next_hop = msg.route[idx - 1] if idx > 0 else msg.sip
             self.node.unicast_ip(next_hop, fwd)
 
@@ -777,7 +777,7 @@ class SecureDSRRouter:
             return
         if self.node.ip in msg.return_route and msg.hop_limit > 1:
             idx = msg.return_route.index(self.node.ip)
-            fwd = msg.replace(hop_limit=msg.hop_limit - 1)
+            fwd = msg.forwarded()
             if idx + 1 < len(msg.return_route):
                 self.node.unicast_ip(msg.return_route[idx + 1], fwd)
             else:

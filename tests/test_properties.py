@@ -165,13 +165,36 @@ def test_data_packet_roundtrip(sip, dip, seq, route, payload, seg):
     assert decode_message(encode_message(msg)) == msg
 
 
-@given(st.binary(max_size=64))
-def test_decoder_never_crashes_on_junk(junk):
-    """Arbitrary bytes either decode to a message or raise CodecError."""
+def _sample_encodings():
+    from tests.test_messages_codec import sample_messages
+
+    rsa_key = get_backend("rsa").generate_keypair(b"prop-rsa").public
+    return [encode_message(m)
+            for key in (_KEYS[0], rsa_key) for m in sample_messages(key)]
+
+
+_ENCODINGS = _sample_encodings()
+
+
+@settings(suppress_health_check=[HealthCheck.too_slow], deadline=None,
+          max_examples=300)
+@given(st.sampled_from(_ENCODINGS) | st.binary(max_size=64),
+       st.lists(st.integers(min_value=0), max_size=4),
+       st.integers(min_value=0), st.binary(max_size=8))
+def test_decoder_never_crashes_on_junk(data, flips, cut, tail):
+    """A valid encoding with bits flipped, its end cut off and junk
+    appended (or plain junk) either raises CodecError or decodes to a
+    message that re-encodes to exactly the same bytes."""
+    junk = bytearray(data)
+    for bit in flips if junk else ():
+        bit %= 8 * len(junk)
+        junk[bit // 8] ^= 1 << (bit % 8)
+    junk = bytes(junk[:len(junk) - cut % (len(junk) + 1)]) + tail
     try:
-        decode_message(junk)
+        msg = decode_message(junk)
     except CodecError:
-        pass
+        return
+    assert encode_message(msg) == junk
 
 
 @settings(suppress_health_check=[HealthCheck.too_slow], deadline=None)

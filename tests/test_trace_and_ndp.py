@@ -33,9 +33,6 @@ def bootstrap_and_exchange(**recorder):
     sc.bootstrap_all()
     sc.send_data(sc.hosts[0], sc.hosts[3].ip, b"x")
     sc.run(duration=5.0)
-    # close the encode window: these scenarios run one after another
-    # in one process (see MetricsCollector.freeze)
-    sc.metrics.freeze()
     assert sc.metrics.summary()["data_acked"] == 1
     return sc
 
@@ -86,10 +83,6 @@ def test_scenario_records_nothing_by_default(summary_calls):
 
 
 def test_recording_does_not_change_results():
-    # warm the process-global wire-encode cache first: the first
-    # scenario in a process pays extra encode_calls (as in
-    # test_kernel_stats.py), which would masquerade as a trace effect
-    bootstrap_and_exchange()
     off = bootstrap_and_exchange()
     on = bootstrap_and_exchange(enabled=True)
     assert on.trace.events and not off.trace.events

@@ -11,7 +11,6 @@ instead of eyeballing it.
 from repro.ipv6.address import IPv6Address
 from repro.messages.codec import decode_message, encode_call_count, encode_message, wire_size
 from repro.messages.ndp import NeighborAdvertisement, NeighborSolicitation
-from repro.metrics.collector import MetricsCollector
 from repro.scenarios import ScenarioBuilder
 
 TARGET = IPv6Address("fec0::1234")
@@ -65,44 +64,3 @@ def test_node_send_path_reuses_the_cache():
     # byte accounting still sees the correct size for every send
     assert sc.metrics.bytes_sent["NS"] == 2 * sum(m.wire_size() for m in msgs)
     assert sc.metrics.msgs_sent["NS"] == 2 * len(msgs)
-
-
-def test_metrics_collector_snapshots_encode_calls():
-    before = MetricsCollector()
-    msg = NeighborSolicitation(target=TARGET, domain_name="snapshot")
-    msg.wire_bytes()
-    msg.wire_bytes()
-    assert before.encode_calls == 1
-    assert before.summary()["encode_calls"] == 1
-    after = MetricsCollector()  # created later: sees none of the above
-    assert after.encode_calls == 0
-    merged = MetricsCollector.merge([before, after])
-    assert merged.encode_calls == 1
-
-
-def test_freeze_prevents_sequential_run_double_count():
-    """Collectors from back-to-back runs in one process must be frozen
-    at their own run boundaries: a still-live earlier collector's window
-    extends over the later run, double-counting its encodes on merge."""
-    a = MetricsCollector()
-    NeighborSolicitation(target=TARGET, domain_name="run-a").wire_bytes()
-    a.freeze()  # run A ends here
-    a.freeze()  # idempotent
-    b = MetricsCollector()
-    NeighborSolicitation(target=TARGET, domain_name="run-b").wire_bytes()
-    b.freeze()
-    assert a.encode_calls == 1  # run B's encode is not absorbed into A
-    assert b.encode_calls == 1
-    assert MetricsCollector.merge([a, b]).encode_calls == 2
-
-
-def test_merged_collector_is_frozen():
-    """A merged collector reports its children's totals at merge time
-    and never accrues encodes that happen afterwards."""
-    child = MetricsCollector()
-    NeighborSolicitation(target=TARGET, domain_name="frozen-a").wire_bytes()
-    merged = MetricsCollector.merge([child])
-    assert merged.encode_calls == 1
-    NeighborSolicitation(target=TARGET, domain_name="frozen-b").wire_bytes()
-    assert merged.encode_calls == 1  # unrelated later encode: not counted
-    assert child.encode_calls == 2  # the live child still counts
