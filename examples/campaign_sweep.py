@@ -47,9 +47,6 @@ def build_spec(fast: bool = False) -> CampaignSpec:
             ],
             # axis 3: radio loss
             "radio.loss_rate": [0.0] if fast else [0.0, 0.05, 0.1],
-            # axis 4: PHY neighbor index -- grid and naive rows must
-            # aggregate identically (the fast path is byte-exact)
-            "medium_index": ["grid"] if fast else ["grid", "naive"],
         },
         "adversaries": [
             {"kind": "blackhole", "position": [200.0, 0.0],

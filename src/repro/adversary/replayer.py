@@ -1,11 +1,11 @@
 """Replay attacks (Section 4).
 
-The replayer records every AREP, DREP, RREP and CREP it overhears and
-fires the recordings back when a fresh AREQ/RREQ with matching
-addresses appears.  The paper's defence is challenge/sequence binding:
-the stored signature covers the *old* challenge or sequence number, so
-the victim's verification finds a mismatch every time.  The experiment
-asserts the acceptance count is exactly zero.
+The replayer records every distinct AREP, DREP, RREP, CREP and RERR it
+overhears and fires the recordings back when a fresh AREQ/RREQ with
+matching addresses appears.  The paper's defence is challenge/sequence
+binding: the stored signature covers the *old* challenge or sequence
+number, so the victim's verification finds a mismatch every time.  The
+experiment asserts the acceptance count is exactly zero.
 """
 
 from __future__ import annotations
@@ -33,6 +33,8 @@ class ReplayAgent:
         self.recorded_rreps: list[RREP] = []
         self.recorded_creps: list[CREP] = []
         self.recorded_rerrs: list[RERR] = []
+        #: Every recording with its hop limit zeroed (see :meth:`_record`).
+        self._recorded: set = set()
         self.replays_fired = 0
 
         node.register_handler(AREP, self._record_arep)
@@ -44,20 +46,33 @@ class ReplayAgent:
         node.register_handler(RREQ, self._maybe_replay_routing)
 
     # -- recording ------------------------------------------------------------
+    def _record(self, recordings: list, msg) -> None:
+        """Keep the first copy of each distinct message.
+
+        Copies that differ only in hop limit are one message: honest
+        relays forward the replayer's own broadcast replays, and
+        recording each forward again would grow the recordings (and the
+        replays fired from them) geometrically within one flood.
+        """
+        key = msg.replace(hop_limit=0)
+        if key not in self._recorded:
+            self._recorded.add(key)
+            recordings.append(msg)
+
     def _record_arep(self, frame: Frame, msg: AREP) -> None:
-        self.recorded_areps.append(msg)
+        self._record(self.recorded_areps, msg)
 
     def _record_drep(self, frame: Frame, msg: DREP) -> None:
-        self.recorded_dreps.append(msg)
+        self._record(self.recorded_dreps, msg)
 
     def _record_rrep(self, frame: Frame, msg: RREP) -> None:
-        self.recorded_rreps.append(msg)
+        self._record(self.recorded_rreps, msg)
 
     def _record_crep(self, frame: Frame, msg: CREP) -> None:
-        self.recorded_creps.append(msg)
+        self._record(self.recorded_creps, msg)
 
     def _record_rerr(self, frame: Frame, msg: RERR) -> None:
-        self.recorded_rerrs.append(msg)
+        self._record(self.recorded_rerrs, msg)
 
     # -- replaying ---------------------------------------------------------------
     def _maybe_replay_bootstrap(self, frame: Frame, msg: AREQ) -> None:

@@ -9,7 +9,9 @@ concrete, fully-resolved list of :class:`RunSpec` the runner executes.
 
 Axis paths are dotted keys.  A path whose first segment is one of
 ``workload``, ``adversaries``, ``bootstrap`` or ``duration`` overrides
-the run-level field; every other path indexes into the scenario spec::
+the run-level field; every other path indexes into the scenario spec,
+and must start with a scenario spec key (a typo is refused when the
+spec is loaded)::
 
     "topology.n":         [9, 16, 25]          # scenario knob
     "router":             ["secure", "plain"]  # scenario knob
@@ -29,6 +31,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 
+from repro.scenarios.builder import SCENARIO_SPEC_KEYS
 from repro.sim.rng import SimRNG, check_seed, spawn_seed
 
 #: Top-level axis segments that target the run rather than the scenario.
@@ -85,6 +88,30 @@ def check_summary_mode(mode) -> None:
             "was removed and campaign reports are always exact "
             "(mean/min/max)"
         )
+
+
+def _check_scenario_paths(base: dict, paths) -> None:
+    """Refuse a base key or a swept path that names no scenario key.
+
+    ``base`` is a scenario spec, so its keys must be scenario keys; a
+    path in ``paths`` (axes and sample space) may also start with a
+    run-level segment.  Otherwise every run of the matrix would fail
+    in ``ScenarioBuilder.from_spec``.
+    """
+    unknown = set(base) - SCENARIO_SPEC_KEYS
+    if unknown:
+        raise ValueError(
+            f"unknown scenario spec keys in base: {sorted(unknown)} "
+            f"(allowed: {sorted(SCENARIO_SPEC_KEYS)})"
+        )
+    allowed = SCENARIO_SPEC_KEYS | _RUN_LEVEL_SEGMENTS
+    for path in paths:
+        head = path.split(".", 1)[0]
+        if head not in allowed:
+            raise ValueError(
+                f"path {path!r}: unknown key {head!r} "
+                f"(a path starts with one of {sorted(allowed)})"
+            )
 
 
 def set_by_path(target: dict, path: str, value) -> None:
@@ -181,6 +208,11 @@ class CampaignSpec:
         check_summary_mode(data.get("summary_mode", "exact"))
         if "base" not in data:
             raise ValueError("campaign spec requires a 'base' scenario")
+        for key in ("base", "axes", "samples"):
+            if not isinstance(data.get(key, {}), dict):
+                raise ValueError(f"campaign spec {key!r} must be an object")
+        if not isinstance(data.get("samples", {}).get("space", {}), dict):
+            raise ValueError("campaign spec 'samples.space' must be an object")
         spec = cls(
             name=str(data.get("name", "campaign")),
             seed=int(data.get("seed", 0)),
@@ -225,6 +257,9 @@ class CampaignSpec:
         for path, values in spec.axes.items():
             if not isinstance(values, list) or not values:
                 raise ValueError(f"axis {path!r} must map to a non-empty list")
+        _check_scenario_paths(
+            spec.base, [*spec.axes, *spec.samples.get("space", {})]
+        )
         return spec
 
     @classmethod

@@ -32,7 +32,7 @@ class NodeConfig:
     #: at *any* node costs one real backend computation network-wide.
     #: Byte-identical contract: a shared hit still counts the "verify"
     #: metric and charges crypto debt -- only the host-time computation
-    #: is skipped (same A/B discipline as ``medium_vectorized``).
+    #: is skipped.
     crypto_shared_cache: bool = True
     #: Capacity of the scenario-wide shared verify cache (entries).
     #: 0 disables it even when crypto_shared_cache is True.

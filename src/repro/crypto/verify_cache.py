@@ -10,15 +10,15 @@ triple.  :class:`SharedVerifyCache` is the per-scenario promotion of
 that memo: one instance hangs off :class:`~repro.core.context.NetContext`
 and a signature verified once at *any* node is a hit everywhere.
 
-Byte-identity contract (the ``medium_vectorized`` discipline): a shared
-hit replays the **exact observable sequence of a real verify** -- the
-per-node LRU is consulted first and left untouched in semantics, the
-``verify`` metric op is counted, the backend's simulated ``op_cost`` is
-charged as crypto debt -- and only the backend's *host-time* computation
-is skipped.  Hit/miss/eviction counters therefore live on this object
-(surfaced via ``Scenario.enable_crypto_stats`` and the telemetry
-sidecar), never in ``MetricsCollector.summary()``: a summary field that
-moved with the flag would break the A/B byte-compare.
+Byte-identity contract: a shared hit replays the **exact observable
+sequence of a real verify** -- the per-node LRU is consulted first and
+left untouched in semantics, the ``verify`` metric op is counted, the
+backend's simulated ``op_cost`` is charged as crypto debt -- and only
+the backend's *host-time* computation is skipped.  Hit/miss/eviction
+counters therefore live on this object (surfaced via
+``Scenario.enable_crypto_stats`` and the telemetry sidecar), never in
+``MetricsCollector.summary()``: a summary field that moved with the
+flag would break the A/B byte-compare.
 
 Key design: ``(backend_name, public_key, payload, signature)``.  The
 :class:`~repro.crypto.keys.PublicKey` hashes through its canonical byte

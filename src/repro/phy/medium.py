@@ -10,53 +10,50 @@ draws independent Bernoulli loss.  Unicast frames emulate an 802.11-like
 MAC: up to ``mac_retries`` retransmissions, then a failure callback --
 which is exactly the "link broken" signal DSR route maintenance needs.
 
-Receiver lookup goes through an incremental neighbor index (see
-:mod:`repro.phy.neighbor_index`): the default ``"grid"`` spatial hash
-answers "who can hear this position?" in O(local density) and is kept
-current by ``attach``/``detach``/``set_position``/``set_enabled``, so a
-network-wide flood is near-linear in N instead of quadratic.  The
-``"naive"`` index preserves the original full scan; both visit in-range
-receivers in ascending link-id order, so the ``phy/loss`` RNG draw
-sequence -- and every metric and trace -- is byte-identical across
-index choices.
+Receiver lookup goes through an incremental spatial-hash grid (see
+:mod:`repro.phy.neighbor_index`) that answers "who can hear this
+position?" in O(local density) and is kept current by
+``attach``/``detach``/``set_position``/``set_enabled``, so a
+network-wide flood is near-linear in N instead of quadratic.
 
 Broadcast pipeline
 ------------------
 
-``broadcast`` runs one of two paths, selected by ``vectorized``
-(default on; ``False`` keeps the scalar loop for A/B comparison):
+``broadcast`` runs one numpy pipeline, fault windows included:
 
 * candidate lookup -- the index returns the cached
   :class:`~repro.phy.neighbor_index.CandidateBlock` for the sender's
   cell block: sorted candidate ids plus a numpy position matrix;
-* distance/loss -- one numpy subtraction + ``sqrt`` yields every
-  sender->candidate distance, and one
-  :meth:`~repro.sim.rng.SimRNG.random_batch` draw yields every
-  per-receiver loss variate;
+* distances -- one numpy subtraction + ``sqrt`` yields every
+  sender->candidate distance, cached per sender until the block changes;
+* fault filter -- while a fault window is open, :attr:`fault_hook` runs
+  once per in-range receiver in ascending link-id order; a suppressed
+  copy is dropped before the loss draw;
+* losses -- one :meth:`~repro.sim.rng.SimRNG.random_batch` draw yields a
+  ``phy/loss`` variate per surviving receiver;
 * batch schedule -- survivors are pushed onto the kernel heap via
   :meth:`~repro.sim.kernel.Simulator.schedule_batch`, skipping
   per-event handle allocation.
 
-Both paths compute distances as ``sqrt(dx*dx + dy*dy)`` -- multiply,
-add, and square root are all correctly-rounded IEEE-754 operations, so
-the scalar (``math.sqrt``) and vectorised (``numpy.sqrt``) forms are
-bit-identical -- and draw one ``phy/loss`` variate per in-range receiver
-in ascending link-id order, so scalar and vectorised runs (like grid
-and naive runs) produce byte-identical metrics and traces
-(tests/test_vectorized_equivalence.py pins this).
+Distances are ``sqrt(dx*dx + dy*dy)`` -- multiply, add and square root
+are correctly-rounded IEEE-754 operations, so the numpy form is
+bit-identical to ``math.sqrt`` on the same operands.  A scalar
+per-receiver loop over a full scan of the radios lives on as a test
+oracle (``tests/phy_oracle.py``); tests/test_medium_equivalence.py pins
+production to it byte for byte under loss, mobility, churn,
+monitor-mode radios and every frame-level fault kind.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
 
 from repro.ipv6.address import IPv6Address
-from repro.phy.neighbor_index import INDEX_KINDS, make_index
+from repro.phy.neighbor_index import SpatialHashGrid
 from repro.sim.kernel import Simulator
 
 #: Destination pseudo-link-id for broadcast frames.
@@ -118,14 +115,12 @@ class WirelessMedium:
         Unicast retransmission budget before reporting link failure.
     ack_timeout:
         Per-attempt wait before a retry / failure verdict.
-    index:
-        Neighbor index implementation: ``"grid"`` (spatial hash, the
-        default) or ``"naive"`` (full scan).  Byte-identical results.
-    vectorized:
-        Run broadcasts through the numpy pipeline (default) or the
-        scalar loop.  Byte-identical results; the scalar path exists
-        for A/B benchmarking and equivalence tests.
     """
+
+    #: Always True: there is one broadcast path.  Kept because the
+    #: traced benchmark run reads it on every broadcast to tell hooked
+    #: ("slow") broadcasts apart (``perfbench/spans.py``).
+    vectorized = True
 
     def __init__(
         self,
@@ -136,17 +131,11 @@ class WirelessMedium:
         proc_delay: float = 1e-4,
         mac_retries: int = 3,
         ack_timeout: float = 5e-3,
-        index: str = "grid",
-        vectorized: bool = True,
     ):
         if radio_range <= 0:
             raise ValueError("radio_range must be positive")
         if not 0.0 <= loss_rate < 1.0:
             raise ValueError("loss_rate must be in [0, 1)")
-        if index not in INDEX_KINDS:
-            raise ValueError(
-                f"unknown medium index {index!r} (expected one of {INDEX_KINDS})"
-            )
         self.sim = sim
         self.radio_range = radio_range
         self.bitrate = bitrate
@@ -154,9 +143,7 @@ class WirelessMedium:
         self.proc_delay = proc_delay
         self.mac_retries = mac_retries
         self.ack_timeout = ack_timeout
-        self.index_kind = index
-        self.vectorized = bool(vectorized)
-        self._index = make_index(index, radio_range)
+        self._index = SpatialHashGrid(radio_range)
         #: Optional TraceRecorder for medium-level notes (wired by NetContext).
         self.trace = None
         self._radios: dict[int, RadioHandle] = {}
@@ -168,7 +155,7 @@ class WirelessMedium:
         self._promiscuous_sorted: tuple[int, ...] = ()
         self._next_link_id = 0
         self._rng = sim.rng("phy/loss")
-        #: Vectorised-path memo: sender link id -> (block, dists, rx ids).
+        #: Range memo: sender link id -> (block, dists, rx ids).
         #: Valid exactly while the index still serves the *same*
         #: CandidateBlock object for the sender's cell -- blocks are
         #: immutable and replaced wholesale on any insert/remove/move/
@@ -185,9 +172,8 @@ class WirelessMedium:
         #: consumes NO ``phy/loss`` draw, so installing/removing the
         #: hook around fault windows never shifts the loss stream for
         #: unaffected traffic.  A returned frame (possibly a corrupted
-        #: replacement) proceeds to the normal loss draw.  While a hook
-        #: is installed, broadcasts take the scalar path (byte-identical
-        #: to the vectorized one by contract).
+        #: replacement) proceeds to the normal loss draw and is the
+        #: copy that receiver gets.
         self.fault_hook: Callable[[int, int, Frame], Frame | None] | None = None
         # Medium-wide counters.
         self.total_frames = 0
@@ -284,35 +270,23 @@ class WirelessMedium:
             return False
         return self.distance(a, b) <= self.radio_range
 
-    def _in_range_pairs(self, link_id: int) -> list[tuple[int, float]]:
-        """``(other_id, distance)`` for enabled radios in range, ascending.
-
-        Each sender->receiver distance is measured exactly once and
-        carried to the delay computation (the old path measured it twice:
-        once for the range test, again for the delivery delay).  The
-        ascending order is load-bearing: it matches the naive scan's
-        iteration order, which pins the ``phy/loss`` draw sequence (see
-        :mod:`repro.phy.neighbor_index`).
-        """
-        radio = self._radios.get(link_id)
-        if radio is None or not radio.enabled:
-            return []
-        px, py = radio.position
-        r = self.radio_range
-        block = self._index.candidates_with_positions(radio.position)
-        out: list[tuple[int, float]] = []
-        for other, (ox, oy) in zip(block.ids, block.pts):
-            if other == link_id:
-                continue
-            dx, dy = px - ox, py - oy
-            d = math.sqrt(dx * dx + dy * dy)
-            if d <= r:
-                out.append((other, d))
-        return out
+    def _range(self, src: int, sender: RadioHandle) -> tuple:
+        """``(block, rx_dists, rx_ids)`` for enabled ``sender``: the
+        receivers in range, ascending link id, read from (and kept in)
+        the per-sender range cache."""
+        block = self._index.candidates_with_positions(sender.position)
+        cached = self._range_cache.get(src)
+        if cached is None or cached[0] is not block:
+            cached = self._compute_range(src, sender, block)
+            self._range_cache[src] = cached
+        return cached
 
     def neighbors(self, link_id: int) -> list[int]:
         """Link ids currently within radio range (instantaneous truth)."""
-        return [other for other, _ in self._in_range_pairs(link_id)]
+        radio = self._radios.get(link_id)
+        if radio is None or not radio.enabled:
+            return []
+        return list(self._range(link_id, radio)[2])
 
     # -- timing -----------------------------------------------------------
     def tx_delay(self, size: int) -> float:
@@ -325,8 +299,12 @@ class WirelessMedium:
     def broadcast(self, frame: Frame) -> int:
         """Transmit to every enabled radio in range.
 
-        Returns the number of receivers the frame was *scheduled* to
-        (losses still apply per receiver).
+        Returns the number of in-range receivers (fault suppression and
+        losses still apply per receiver).
+
+        Fault windows: :attr:`fault_hook` filters each in-range copy
+        before its loss draw (see its contract), so the ``phy/loss``
+        stream advances by in-range minus suppressed receivers.
 
         Delivery contract (pinned by tests/test_medium_contract.py): a
         receiver gets the frame iff it was attached **and enabled at
@@ -334,13 +312,12 @@ class WirelessMedium:
         loss draw) AND is still attached and enabled **at delivery
         time** (``_deliver`` re-checks; in-flight disable/detach
         silently eats the copy).  A radio disabled at send time is
-        excluded from the candidate set on *both* pipelines -- the
-        vectorized path's cached CandidateBlock cannot be stale here,
-        because ``set_enabled``/``attach``/``detach``/``set_position``
-        all replace the affected block wholesale and the cache is keyed
-        on block object identity -- so it consumes no ``phy/loss`` draw
-        and re-enabling before the would-be delivery time cannot
-        resurrect the frame.
+        excluded from the candidate set -- the cached CandidateBlock
+        cannot be stale here, because ``set_enabled``/``attach``/
+        ``detach``/``set_position`` all replace the affected block
+        wholesale and the range cache is keyed on block object identity
+        -- so it consumes no ``phy/loss`` draw and re-enabling before
+        the would-be delivery time cannot resurrect the frame.
         """
         sender = self._radios.get(frame.src_link)
         if sender is None or not sender.enabled:
@@ -349,54 +326,42 @@ class WirelessMedium:
         self.total_bytes += frame.size
         sender.frames_sent += 1
         sender.bytes_sent += frame.size
-        hook = self.fault_hook
-        if self.vectorized and hook is None:
-            return self._broadcast_vectorized(frame, sender)
-        count = 0
-        for other_id, dist in self._in_range_pairs(frame.src_link):
-            count += 1
-            fx = frame
-            if hook is not None:
-                fx = hook(frame.src_link, other_id, frame)
-                if fx is None:
-                    self.suppressed_frames += 1
-                    continue  # no loss draw: see fault_hook contract
-            if self._rng.random() < self.loss_rate:
-                self.dropped_frames += 1
-                continue
-            delay = self._delivery_delay(frame.size, dist)
-            self.sim.schedule(delay, self._deliver, other_id, fx)
-        return count
-
-    def _broadcast_vectorized(self, frame: Frame, sender: RadioHandle) -> int:
-        """The numpy pipeline: cached receiver set -> batch losses ->
-        batch schedule.  Byte-identical to the scalar loop above."""
         src = frame.src_link
-        block = self._index.candidates_with_positions(sender.position)
-        cached = self._range_cache.get(src)
-        if cached is None or cached[0] is not block:
-            cached = self._compute_range(src, sender, block)
-            self._range_cache[src] = cached
-        _, rx_dists, rx_id_list = cached
-        count = len(rx_id_list)
+        _, rx_dists, rx_ids = self._range(src, sender)
+        count = len(rx_ids)
         if count == 0:
             return 0
-        # One batched draw per in-range receiver, ascending id -- the same
-        # stream consumption as `count` scalar draws (SimRNG.random_batch).
-        draws = self._rng.random_batch(count)
+        frames = None
+        hook = self.fault_hook
+        if hook is not None:
+            frames = [hook(src, rx, frame) for rx in rx_ids]
+            kept = [i for i, fx in enumerate(frames) if fx is not None]
+            if len(kept) < count:
+                self.suppressed_frames += count - len(kept)
+                if not kept:
+                    return count
+                rx_dists = rx_dists[kept]
+                rx_ids = [rx_ids[i] for i in kept]
+                frames = [frames[i] for i in kept]
+        # One batched draw per surviving receiver, ascending id -- the
+        # same stream consumption as that many scalar draws
+        # (SimRNG.random_batch).
+        n = len(rx_ids)
+        draws = self._rng.random_batch(n)
         if self.loss_rate > 0.0:
             survived = draws >= self.loss_rate
             delivered = int(survived.sum())
-            if delivered < count:
-                self.dropped_frames += count - delivered
+            if delivered < n:
+                self.dropped_frames += n - delivered
                 if delivered == 0:
                     return count
                 rx_dists = rx_dists[survived]
-                rx_id_list = [
-                    rx for rx, ok in zip(rx_id_list, survived.tolist()) if ok
-                ]
-        # (tx + d/c) + proc in exactly the scalar path's operation order;
-        # the in-place ops touch only this fresh `delays` array, never the
+                keep = survived.tolist()
+                rx_ids = [rx for rx, ok in zip(rx_ids, keep) if ok]
+                if frames is not None:
+                    frames = [fx for fx, ok in zip(frames, keep) if ok]
+        # (tx + d/c) + proc, the operation order of _delivery_delay; the
+        # in-place ops touch only this fresh `delays` array, never the
         # cached distances.
         delays = rx_dists / _SPEED_OF_LIGHT
         delays += self.tx_delay(frame.size)
@@ -407,24 +372,26 @@ class WirelessMedium:
         self.sim.schedule_batch(
             delays.tolist(),
             self._deliver,
-            [(rx, frame) for rx in rx_id_list],
+            [(rx, frame) for rx in rx_ids] if frames is None
+            else list(zip(rx_ids, frames)),
         )
         return count
 
     def _compute_range(self, src: int, sender: RadioHandle, block) -> tuple:
         """Distances from ``src`` to every in-range candidate in ``block``.
 
-        Returns ``(block, rx_dists, rx_id_list)`` with receivers in
+        Returns ``(block, rx_dists, rx_ids)`` with receivers in
         ascending link-id order; cached per sender until the index
         replaces the block (see ``_range_cache``).
         """
-        if not block.ids:
+        ids = block.id_arr
+        if ids.size == 0:
             return (block, np.empty(0, dtype=np.float64), [])
         sx, sy = sender.position
         dx = block.pos_arr[:, 0] - sx
         dy = block.pos_arr[:, 1] - sy
-        # In-place sqrt(dx*dx + dy*dy): the same correctly-rounded IEEE
-        # op sequence as the scalar path, no extra temporaries.
+        # In-place sqrt(dx*dx + dy*dy): correctly-rounded IEEE ops, no
+        # extra temporaries.
         dx *= dx
         dy *= dy
         dx += dy
@@ -432,11 +399,10 @@ class WirelessMedium:
         in_range = dists <= self.radio_range
         # The sender is enabled, hence present in its own block: mask it
         # out by position (sorted ids) instead of a full-array compare.
-        i = bisect_left(block.ids, src)
-        if i < len(block.ids) and block.ids[i] == src:
+        i = ids.searchsorted(src)
+        if i < ids.size and ids[i] == src:
             in_range[i] = False
-        rx_dists = dists[in_range]
-        return (block, rx_dists, block.id_arr[in_range].tolist())
+        return (block, dists[in_range], ids[in_range].tolist())
 
     def unicast(
         self,
@@ -474,7 +440,7 @@ class WirelessMedium:
         # set -- the common case, checked first so retries pay nothing --
         # skips the loop entirely; the sorted snapshot is maintained by
         # set_promiscuous, keeping the loss-draw sequence independent of
-        # set internals (the index-equivalence determinism contract).
+        # set internals (ascending link id, as in broadcast).
         hook = self.fault_hook
         if self._promiscuous:
             for snoop in self._promiscuous_sorted:

@@ -1,4 +1,4 @@
-"""Incremental neighbor indices for the wireless medium.
+"""Incremental neighbor index for the wireless medium.
 
 The medium answers one geometric question on every transmission: *which
 radios might be within ``radio_range`` of this position?*  The naive
@@ -17,14 +17,14 @@ of O(N^2).
 Candidate-block cache
 ---------------------
 
-Both indices additionally answer
+The grid additionally answers
 ``candidates_with_positions(position)``: the enabled candidates *with*
 their positions, materialised once per cell block as a
 :class:`CandidateBlock` (sorted ids + a numpy position matrix) and
 cached until a mutation touches the block.  A broadcast-heavy static or
 low-mobility scenario therefore stops re-walking (and re-sorting) the
-3x3 cell block on every frame, and the vectorised broadcast path gets
-its distance computation as a single numpy subtraction instead of a
+3x3 cell block on every frame, and the broadcast pipeline gets its
+distance computation as a single numpy subtraction instead of a
 per-candidate dict walk.  ``insert``/``remove``/``move``/``set_enabled``
 invalidate exactly the (up to nine) cached blocks whose 3x3 footprint
 covers the mutated cell, so the cache never serves stale membership or
@@ -33,26 +33,28 @@ stale positions.
 Determinism-ordering contract
 -----------------------------
 
-Both index implementations MUST honour the following contract, which is
-what keeps grid-indexed runs **byte-identical** to the naive scan:
+The index MUST honour the following contract, which is what keeps
+grid-indexed runs **byte-identical** to a full scan of every radio:
 
 1. ``candidates_near(position)`` returns a *superset* of every enabled
    radio within ``cell_size`` of ``position`` (false positives are fine;
    false negatives are not).  ``candidates_with_positions`` returns the
    same superset restricted to *enabled* radios (the medium draws no RNG
-   for disabled ones either way), with positions exactly equal to those
-   last supplied via ``insert``/``move``.
+   for disabled ones), with positions exactly equal to those last
+   supplied via ``insert``/``move``.
 2. Candidates are yielded in **strictly ascending link-id order**.
 
 The medium filters candidates with the exact unit-disk test and draws
-exactly one ``phy/loss`` RNG variate per in-range receiver.  Link ids
-are assigned monotonically and never reused, so the naive full scan --
-which iterates the radio dict in insertion order -- also visits
-receivers in ascending link-id order.  Under (1) + (2) the sequence of
-in-range receivers, and therefore the sequence of loss draws, delivery
-events, metrics, and trace lines, is identical whichever index computed
-the candidate set.  Any future index implementation (k-d tree, sorted
-sweep, ...) must sort its candidates the same way before yielding.
+exactly one ``phy/loss`` RNG variate per in-range receiver whose copy
+the fault hook did not suppress.  Link ids
+are assigned monotonically and never reused, so a full scan -- which
+iterates the radios in insertion order -- also visits receivers in
+ascending link-id order.  Under (1) + (2) the sequence of in-range
+receivers, and therefore the sequence of loss draws, delivery events,
+metrics, and trace lines, is the full scan's.  The full scan itself
+survives as a test oracle (``tests/phy_oracle.py``), and any future
+index implementation (k-d tree, sorted sweep, ...) must sort its
+candidates the same way before yielding.
 """
 
 from __future__ import annotations
@@ -65,22 +67,18 @@ import numpy as np
 class CandidateBlock(NamedTuple):
     """One cached answer to "who is (maybe) near this cell block?".
 
-    ``ids``/``pts`` serve the scalar path (plain-python iteration);
-    ``id_arr``/``pos_arr`` serve the vectorised path (one numpy
-    subtraction per broadcast).  All four views list the same radios in
-    ascending link-id order.  Blocks are immutable once built -- a
-    mutation replaces the cache entry rather than editing it, so a block
-    handed to the medium can never change mid-broadcast.
+    Both arrays list the same radios in ascending link-id order.  Blocks
+    are immutable once built -- a mutation replaces the cache entry
+    rather than editing it, so a block handed to the medium can never
+    change mid-broadcast.
     """
 
-    ids: tuple[int, ...]
-    pts: tuple[tuple[float, float], ...]
     id_arr: np.ndarray  # shape (k,), int64
     pos_arr: np.ndarray  # shape (k, 2), float64
 
 
 _EMPTY_BLOCK = CandidateBlock(
-    (), (), np.empty(0, dtype=np.int64), np.empty((0, 2), dtype=np.float64)
+    np.empty(0, dtype=np.int64), np.empty((0, 2), dtype=np.float64)
 )
 
 
@@ -88,75 +86,9 @@ def _build_block(ids: list[int], positions: list[tuple[float, float]]) -> Candid
     if not ids:
         return _EMPTY_BLOCK
     return CandidateBlock(
-        tuple(ids),
-        tuple(positions),
         np.array(ids, dtype=np.int64),
         np.array(positions, dtype=np.float64).reshape(len(ids), 2),
     )
-
-
-class NaiveScanIndex:
-    """The O(N) reference index: every attached radio is a candidate.
-
-    Exists so the medium has a single code path whichever index is
-    selected, and so equivalence tests can pin the grid against the
-    original full-scan semantics.  Its candidate "block" is the whole
-    network, cached as one :class:`CandidateBlock` and invalidated by
-    any mutation.
-    """
-
-    kind = "naive"
-
-    def __init__(self):
-        # link_id -> (position, enabled); insertion-ordered, and link ids
-        # are monotonic, so iteration is already ascending (contract #2).
-        self._links: dict[int, tuple[tuple[float, float], bool]] = {}
-        self._block: CandidateBlock | None = None
-
-    def __len__(self) -> int:
-        return len(self._links)
-
-    def __contains__(self, link_id: int) -> bool:
-        return link_id in self._links
-
-    def insert(self, link_id: int, position: tuple[float, float]) -> None:
-        self._links[link_id] = ((float(position[0]), float(position[1])), True)
-        self._block = None
-
-    def remove(self, link_id: int) -> None:
-        if self._links.pop(link_id, None) is not None:
-            self._block = None
-
-    def move(self, link_id: int, position: tuple[float, float]) -> None:
-        entry = self._links.get(link_id)
-        if entry is None:
-            return
-        self._links[link_id] = ((float(position[0]), float(position[1])), entry[1])
-        self._block = None
-
-    def set_enabled(self, link_id: int, enabled: bool) -> None:
-        entry = self._links.get(link_id)
-        if entry is not None and entry[1] != enabled:
-            self._links[link_id] = (entry[0], enabled)
-            self._block = None
-
-    def candidates_near(self, position: tuple[float, float]) -> list[int]:
-        """All attached link ids (disabled ones included; they are
-        filtered by the medium's exact in-range test, exactly as the
-        original scan did -- and they draw no RNG either way)."""
-        return list(self._links)
-
-    def candidates_with_positions(
-        self, position: tuple[float, float]
-    ) -> CandidateBlock:
-        """Every *enabled* radio with its position, ascending id."""
-        block = self._block
-        if block is None:
-            ids = [lid for lid, (_, enabled) in self._links.items() if enabled]
-            pts = [self._links[lid][0] for lid in ids]
-            block = _build_block(ids, pts)
-            self._block = block
-        return block
 
 
 class SpatialHashGrid:
@@ -170,8 +102,6 @@ class SpatialHashGrid:
     cell on re-enable.  Query results are cached per cell block and
     invalidated precisely (see "Candidate-block cache" above).
     """
-
-    kind = "grid"
 
     def __init__(self, cell_size: float):
         if cell_size <= 0:
@@ -281,7 +211,7 @@ class SpatialHashGrid:
     def candidates_near(self, position: tuple[float, float]) -> list[int]:
         """Enabled link ids in the 3x3 cell block around ``position``,
         in ascending link-id order (the determinism contract)."""
-        return list(self.candidates_with_positions(position).ids)
+        return self.candidates_with_positions(position).id_arr.tolist()
 
     def candidates_with_positions(
         self, position: tuple[float, float]
@@ -304,17 +234,3 @@ class SpatialHashGrid:
             self._block_cache[key] = block
         return block
 
-
-#: Selectable index implementations, by spec name.
-INDEX_KINDS = ("grid", "naive")
-
-
-def make_index(kind: str, cell_size: float):
-    """Build the index implementation named ``kind`` (see INDEX_KINDS)."""
-    if kind == "grid":
-        return SpatialHashGrid(cell_size)
-    if kind == "naive":
-        return NaiveScanIndex()
-    raise ValueError(
-        f"unknown medium index {kind!r} (expected one of {INDEX_KINDS})"
-    )

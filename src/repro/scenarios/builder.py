@@ -77,6 +77,12 @@ def router_name(cls: type) -> str:
     return f"{cls.__module__}:{cls.__qualname__}"
 
 
+#: Top-level keys of a scenario spec (:meth:`ScenarioBuilder.from_spec`).
+SCENARIO_SPEC_KEYS = frozenset({
+    "seed", "topology", "radio", "config", "router",
+    "routers_by_name", "dns", "preregister", "mobility", "faults",
+})
+
 #: Allowed keys per topology kind; a typo'd key in a spec (e.g. a campaign
 #: axis path) must fail loudly, not silently sweep nothing.
 _TOPOLOGY_KEYS: dict[str, set[str]] = {
@@ -233,8 +239,6 @@ class ScenarioBuilder:
         self._topology: dict | None = None
         self._radio_range = 250.0
         self._loss_rate = 0.0
-        self._medium_index = "grid"
-        self._medium_vectorized = True
         self._with_dns = False
         self._dns_position: tuple[float, float] | None = None
         self._dns_preregistrations: list[tuple[str, IPv6Address]] = []
@@ -363,28 +367,6 @@ class ScenarioBuilder:
         self._loss_rate = loss_rate
         return self
 
-    def medium(
-        self, index: str | None = None, vectorized: bool | None = None
-    ) -> "ScenarioBuilder":
-        """Medium knobs: neighbor index (``"grid"`` spatial hash, the
-        default, or ``"naive"`` full scan) and the broadcast pipeline
-        (``True``, the default numpy path, or ``False`` for the scalar
-        loop).  Results are byte-identical across all four combinations;
-        campaigns sweep ``medium_index`` / ``medium_vectorized`` to
-        regression-test that claim.  ``None`` (for either knob) means
-        "leave unchanged", so ``.medium("naive")`` and
-        ``.medium(vectorized=False)`` compose in any order without
-        clobbering each other."""
-        if index is not None:
-            if index not in ("grid", "naive"):
-                raise ValueError(
-                    f"unknown medium index {index!r} (expected 'grid' or 'naive')"
-                )
-            self._medium_index = index
-        if vectorized is not None:
-            self._medium_vectorized = bool(vectorized)
-        return self
-
     def crypto(
         self,
         shared_cache: bool | None = None,
@@ -397,8 +379,8 @@ class ScenarioBuilder:
         spec key like any other NodeConfig override).  All default True;
         results are byte-identical across the whole 2x2x2 matrix --
         ``tests/test_crypto_equivalence.py`` regression-tests that claim.
-        ``None`` means "leave unchanged", same composition contract as
-        :meth:`medium`."""
+        ``None`` means "leave unchanged", so calls compose in any order
+        without clobbering each other."""
         overrides = {}
         if shared_cache is not None:
             overrides["crypto_shared_cache"] = bool(shared_cache)
@@ -464,12 +446,7 @@ class ScenarioBuilder:
         Specs are JSON-clean, so campaign files and baselines can store
         them verbatim; ``from_spec(b.to_spec())`` reproduces ``b``.
         """
-        known = {
-            "seed", "topology", "radio", "config", "router",
-            "routers_by_name", "dns", "preregister", "mobility",
-            "medium_index", "medium_vectorized", "faults",
-        }
-        unknown = set(spec) - known
+        unknown = set(spec) - SCENARIO_SPEC_KEYS
         if unknown:
             raise ValueError(f"unknown scenario spec keys: {sorted(unknown)}")
         if "topology" not in spec:
@@ -481,10 +458,6 @@ class ScenarioBuilder:
         builder.radio(
             radio_range=float(radio.get("range", 250.0)),
             loss_rate=float(radio.get("loss_rate", 0.0)),
-        )
-        builder.medium(
-            str(spec.get("medium_index", "grid")),
-            vectorized=bool(spec.get("medium_vectorized", True)),
         )
         if spec.get("config"):
             builder.config(**spec["config"])
@@ -551,10 +524,6 @@ class ScenarioBuilder:
             "radio": {"range": self._radio_range, "loss_rate": self._loss_rate},
             "router": router_name(self._router_cls),
         }
-        if self._medium_index != "grid":
-            spec["medium_index"] = self._medium_index
-        if not self._medium_vectorized:
-            spec["medium_vectorized"] = False
         if self._config_overrides:
             spec["config"] = dict(self._config_overrides)
         if self._router_cls_by_name:
@@ -585,7 +554,6 @@ class ScenarioBuilder:
         sim = Simulator(seed=self.seed)
         medium = WirelessMedium(
             sim, radio_range=self._radio_range, loss_rate=self._loss_rate,
-            index=self._medium_index, vectorized=self._medium_vectorized,
         )
         ctx = NetContext(sim=sim, medium=medium)
 

@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.ipv6.address import IPv6Address
 from repro.routing.bsar_like import EndpointOnlyRouter
-from repro.scenarios.attacks import add_forger, add_replayer
+from repro.scenarios import ScenarioBuilder
+from repro.scenarios.attacks import add_forger, add_replayer, add_rerr_spammer
+from repro.scenarios.workloads import CBRTraffic
 from tests.conftest import chain_scenario, two_path_scenario
 
 
@@ -30,6 +33,36 @@ def test_replayed_rreps_never_accepted():
     # Replays carry the OLD sequence number: every one rejected as stale.
     assert sc.metrics.verdicts["rrep.rejected.stale_seq"] >= 1
     assert sc.metrics.delivered(a.ip, b.ip) == 2  # real traffic unharmed
+
+
+def test_replayer_records_each_message_once_and_the_run_finishes():
+    """Honest relays forward the replayer's own broadcast RREP replays.
+    Recorded again (a forward differs only in hop limit), they would
+    grow the recordings geometrically, and this run would spend its
+    100,000 events within the first few simulated seconds of 16."""
+    sc = (ScenarioBuilder(seed=4).grid(16, spacing=180.0)
+          .with_dns((270.0, 270.0))
+          .random_waypoint(speed=(1.0, 5.0), pause=2.0)
+          .faults({"events": [
+              {"kind": "corrupt", "at": 1.0, "duration": 4.0, "rate": 0.2},
+              {"kind": "crash", "at": 2.0, "node": 5, "recover_after": 4.0},
+              {"kind": "partition", "at": 8.0, "duration": 3.0, "groups": 2},
+          ]})
+          .build())
+    add_forger(sc, (270.0, 90.0), spoof_hop_ip=IPv6Address("fec0::bad"),
+               forge_acks=True)
+    add_rerr_spammer(sc, (270.0, 450.0))
+    replayer = add_replayer(sc, (90.0, 270.0)).component("replayer")
+    sc.bootstrap_all()
+    for i, j in ((0, 15), (3, 12), (12, 1), (15, 4)):
+        CBRTraffic(sc.hosts[i], sc.hosts[j].ip, interval=0.5, count=24)
+    end = sc.sim.now + 16.0
+    sc.sim.run(until=end, max_events=100_000)
+    assert sc.sim.now == end  # ran to the end, not out of events
+    assert replayer.replays_fired > 0
+    recordings = replayer.recorded_rreps + replayer.recorded_rerrs
+    assert recordings
+    assert len({m.replace(hop_limit=0) for m in recordings}) == len(recordings)
 
 
 def test_replay_everything_is_fully_rejected():

@@ -121,7 +121,7 @@ def test_spec_validation():
         CampaignSpec.from_dict({"base": {}, "axes": {"router": []}})
     with pytest.raises(ValueError):
         CampaignSpec.from_dict({"base": {}, "replicates": 0})
-    bad_space = tiny_spec(samples={"count": 1, "space": {"x": "nope"}})
+    bad_space = tiny_spec(samples={"count": 1, "space": {"radio.loss_rate": "nope"}})
     with pytest.raises(ValueError):
         bad_space.expand()
 

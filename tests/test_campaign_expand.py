@@ -226,3 +226,47 @@ def test_cli_run_exits_2_on_an_out_of_range_seed(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "seed" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("data, key", [
+    ({"base": {"medium_index": "grid"}}, "medium_index"),
+    ({"base": {}, "axes": {"medium_indx": ["grid"]}}, "medium_indx"),
+    ({"base": {}, "axes": {"radios.loss_rate": [0.0]}}, "radios"),
+    ({"base": {}, "samples": {"count": 2, "space": {"topo.n": [3, 5]}}}, "topo"),
+], ids=["base", "axis", "nested-axis", "sample"])
+def test_from_dict_refuses_a_path_that_names_no_scenario_key(data, key):
+    with pytest.raises(ValueError, match=repr(key)):
+        CampaignSpec.from_dict(data)
+
+
+@pytest.mark.parametrize("data", [
+    {"base": []},
+    {"base": {}, "axes": [["router", ["secure"]]]},
+    {"base": {}, "samples": []},
+    {"base": {}, "samples": {"count": 1, "space": [["topology.n", [3, 5]]]}},
+], ids=["base", "axes", "samples", "space"])
+def test_from_dict_refuses_a_section_that_is_not_an_object(data):
+    with pytest.raises(ValueError, match="must be an object"):
+        CampaignSpec.from_dict(data)
+
+
+def test_run_level_and_scenario_paths_are_accepted():
+    spec = CampaignSpec.from_dict({
+        "base": {"topology": {"kind": "chain", "n": 3}, "radio": {}},
+        "axes": {"workload.kind": ["cbr", "poisson"], "radio.loss_rate": [0.0],
+                 "duration": [5.0], "faults": [{"events": []}]},
+        "samples": {"count": 1, "space": {"topology.n": [3, 5]}},
+    })
+    assert len(spec.expand()) == 3
+
+
+def test_cli_run_exits_2_naming_an_unknown_axis_key(tmp_path, capsys):
+    data = json.loads((ROOT / "campaigns/reference/spec.json").read_text())
+    data["axes"]["medium_indx"] = ["grid", "naive"]
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert main(["run", str(spec_path), "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "'medium_indx'" in err
+    assert not out.exists()

@@ -5,8 +5,8 @@ verification, process-wide keypair pool) must not change *anything*
 observable: same seed + same scenario must yield identical metrics
 summaries, identical traces, identical medium counters, and the same
 number of kernel events whichever flag combination ran.  These tests
-mirror tests/test_vectorized_equivalence.py across the full 2x2x2
-matrix (``crypto_shared_cache`` x ``crypto_batch_verify`` x
+cover the full 2x2x2 matrix (``crypto_shared_cache`` x
+``crypto_batch_verify`` x
 ``crypto_keypair_pool``) under loss, random-waypoint mobility, churn --
 and, critically, under active adversaries: a cached *negative* verdict
 must never mask a forged signature, and a cached *positive* verdict

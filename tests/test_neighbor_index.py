@@ -1,23 +1,23 @@
-"""Unit tests for the incremental neighbor indices.
+"""Unit tests for the incremental neighbor index.
 
-The contract under test (see ``repro/phy/neighbor_index.py``): every
-index returns a *superset* of the enabled radios within ``cell_size``
-of the query position, in strictly ascending link-id order.
+The contract under test (see ``repro/phy/neighbor_index.py``): the
+spatial-hash grid -- and the oracle's full scan it stands in for --
+returns a *superset* of the enabled radios within ``cell_size`` of the
+query position, in strictly ascending link-id order.
 """
 
 import math
 
 import pytest
 
-from repro.phy.neighbor_index import (
-    INDEX_KINDS,
-    NaiveScanIndex,
-    SpatialHashGrid,
-    make_index,
-)
+from phy_oracle import NaiveScanIndex
+from repro.phy.neighbor_index import SpatialHashGrid
 from repro.sim.rng import SimRNG
 
 RANGE = 100.0
+
+#: The production grid and the oracle's full scan, by name.
+INDEXES = {"grid": lambda: SpatialHashGrid(RANGE), "naive": NaiveScanIndex}
 
 
 def brute_force(positions: dict, query, radius) -> set:
@@ -28,12 +28,9 @@ def brute_force(positions: dict, query, radius) -> set:
     }
 
 
-def test_make_index_kinds():
-    assert isinstance(make_index("grid", RANGE), SpatialHashGrid)
-    assert isinstance(make_index("naive", RANGE), NaiveScanIndex)
-    with pytest.raises(ValueError):
-        make_index("kdtree", RANGE)
-    assert set(INDEX_KINDS) == {"grid", "naive"}
+def views(block) -> tuple[list, list]:
+    """A block's ids and positions as plain python lists."""
+    return block.id_arr.tolist(), [tuple(p) for p in block.pos_arr.tolist()]
 
 
 def test_grid_rejects_bad_cell_size():
@@ -41,9 +38,9 @@ def test_grid_rejects_bad_cell_size():
         SpatialHashGrid(0.0)
 
 
-@pytest.mark.parametrize("kind", INDEX_KINDS)
+@pytest.mark.parametrize("kind", INDEXES)
 def test_candidates_are_sorted_and_cover_in_range(kind):
-    index = make_index(kind, RANGE)
+    index = INDEXES[kind]()
     rng = SimRNG(17, "test/index")
     positions = {}
     for lid in range(60):
@@ -123,10 +120,10 @@ def test_grid_empty_cells_are_reclaimed():
     assert grid.occupied_cells == 1
 
 
-@pytest.mark.parametrize("kind", INDEX_KINDS)
+@pytest.mark.parametrize("kind", INDEXES)
 def test_randomized_churn_matches_brute_force(kind):
     """Superset + ordering hold through interleaved insert/move/remove/toggle."""
-    index = make_index(kind, RANGE)
+    index = INDEXES[kind]()
     rng = SimRNG(99, "test/index-churn")
     positions: dict[int, tuple[float, float]] = {}
     enabled: dict[int, bool] = {}
@@ -159,10 +156,10 @@ def test_randomized_churn_matches_brute_force(kind):
         assert brute_force(live, query, RANGE) <= set(cands)
 
 
-@pytest.mark.parametrize("kind", INDEX_KINDS)
+@pytest.mark.parametrize("kind", INDEXES)
 def test_candidates_with_positions_matches_candidates_near(kind):
     """Same enabled radios, same ascending order, exact stored positions."""
-    index = make_index(kind, RANGE)
+    index = INDEXES[kind]()
     rng = SimRNG(21, "test/blocks")
     positions = {}
     for lid in range(40):
@@ -172,26 +169,23 @@ def test_candidates_with_positions_matches_candidates_near(kind):
     index.set_enabled(7, False)
     index.set_enabled(13, False)
     for lid, pos in positions.items():
-        block = index.candidates_with_positions(pos)
+        ids, pts = views(index.candidates_with_positions(pos))
         enabled_cands = [
             c for c in index.candidates_near(pos)
             if c not in (7, 13)
         ]
-        assert list(block.ids) == enabled_cands
-        assert list(block.ids) == sorted(block.ids)
-        assert 7 not in block.ids and 13 not in block.ids
-        for cand, pt in zip(block.ids, block.pts):
+        assert ids == enabled_cands
+        assert ids == sorted(ids)
+        assert 7 not in ids and 13 not in ids
+        for cand, pt in zip(ids, pts):
             assert pt == positions[cand]
-        # the numpy views agree with the python views
-        assert block.id_arr.tolist() == list(block.ids)
-        assert block.pos_arr.tolist() == [list(p) for p in block.pts]
 
 
-@pytest.mark.parametrize("kind", INDEX_KINDS)
+@pytest.mark.parametrize("kind", INDEXES)
 def test_candidate_blocks_are_cached_until_invalidated(kind):
     """Repeat queries return the *same* immutable block object (that is
     the whole point of the cache); any mutation near it rebuilds."""
-    index = make_index(kind, RANGE)
+    index = INDEXES[kind]()
     index.insert(0, (10.0, 10.0))
     index.insert(1, (50.0, 50.0))
     q = (10.0, 10.0)
@@ -200,17 +194,18 @@ def test_candidate_blocks_are_cached_until_invalidated(kind):
     # every mutation kind invalidates: insert, move, set_enabled, remove
     index.insert(2, (20.0, 20.0))
     b2 = index.candidates_with_positions(q)
-    assert b2 is not block and 2 in b2.ids
+    assert b2 is not block and 2 in views(b2)[0]
     index.move(2, (25.0, 25.0))  # same cell, new coordinates
     b3 = index.candidates_with_positions(q)
     assert b3 is not b2
-    assert b3.pts[list(b3.ids).index(2)] == (25.0, 25.0)
+    ids, pts = views(b3)
+    assert pts[ids.index(2)] == (25.0, 25.0)
     index.set_enabled(1, False)
     b4 = index.candidates_with_positions(q)
-    assert b4 is not b3 and 1 not in b4.ids
+    assert b4 is not b3 and 1 not in views(b4)[0]
     index.remove(2)
     b5 = index.candidates_with_positions(q)
-    assert b5 is not b4 and 2 not in b5.ids
+    assert b5 is not b4 and 2 not in views(b5)[0]
 
 
 def test_grid_mutation_far_away_keeps_cached_block():
@@ -229,14 +224,14 @@ def test_grid_mutation_far_away_keeps_cached_block():
     # a mutation adjacent to the near block evicts it
     grid.insert(3, (110.0, 10.0))
     fresh = grid.candidates_with_positions((10.0, 10.0))
-    assert fresh is not near and 3 in fresh.ids
+    assert fresh is not near and 3 in views(fresh)[0]
 
 
-@pytest.mark.parametrize("kind", INDEX_KINDS)
+@pytest.mark.parametrize("kind", INDEXES)
 def test_randomized_churn_blocks_match_brute_force(kind):
     """The cached-block view obeys the same superset/ordering/position
     contract through interleaved insert/move/remove/toggle."""
-    index = make_index(kind, RANGE)
+    index = INDEXES[kind]()
     rng = SimRNG(123, "test/block-churn")
     positions: dict[int, tuple[float, float]] = {}
     enabled: dict[int, bool] = {}
@@ -263,9 +258,9 @@ def test_randomized_churn_blocks_match_brute_force(kind):
             del positions[lid], enabled[lid]
             index.remove(lid)
         query = (rng.uniform(0, 600), rng.uniform(0, 600))
-        block = index.candidates_with_positions(query)
-        assert list(block.ids) == sorted(block.ids)
+        ids, pts = views(index.candidates_with_positions(query))
+        assert ids == sorted(ids)
         live = {lid: p for lid, p in positions.items() if enabled[lid]}
-        assert brute_force(live, query, RANGE) <= set(block.ids)
-        for cand, pt in zip(block.ids, block.pts):
+        assert brute_force(live, query, RANGE) <= set(ids)
+        for cand, pt in zip(ids, pts):
             assert enabled[cand] and pt == positions[cand]

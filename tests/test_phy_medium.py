@@ -160,8 +160,6 @@ def test_constructor_validation():
         WirelessMedium(sim, radio_range=0)
     with pytest.raises(ValueError):
         WirelessMedium(sim, loss_rate=1.0)
-    with pytest.raises(ValueError):
-        WirelessMedium(sim, index="octree")
 
 
 def test_set_position_and_enabled_on_detached_link_are_noops():

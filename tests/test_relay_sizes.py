@@ -97,9 +97,7 @@ def test_sizes_match_encoder_on_simsig_grid_bootstrap_with_names(frames):
 
 def test_sizes_match_encoder_on_mobile_run_with_faults_and_adversaries(frames):
     """Corrupted copies (a plain ``replace``), re-DAD after a crash and a
-    partition heal, spoofed SRR entries and false RERRs.  (The replayer
-    rides in the chain run above: in a mobile grid every replayed RREP
-    is relayed and recorded again, and the run does not finish.)"""
+    partition heal, spoofed SRR entries, false RERRs and replays."""
     sent, mismatched = frames
     sc = (ScenarioBuilder(seed=11).grid(16, spacing=180.0)
           .with_dns((270.0, 270.0))
@@ -113,6 +111,7 @@ def test_sizes_match_encoder_on_mobile_run_with_faults_and_adversaries(frames):
     forger = add_forger(sc, (270.0, 90.0), spoof_hop_ip=IPv6Address("fec0::bad"),
                         forge_acks=True)
     spammer = add_rerr_spammer(sc, (270.0, 450.0))
+    replayer = add_replayer(sc, (90.0, 270.0)).component("replayer")
     sc.bootstrap_all()
     for i, j in ((0, 15), (3, 12), (12, 1), (15, 4)):
         CBRTraffic(sc.hosts[i], sc.hosts[j].ip, interval=0.5, count=24)
@@ -122,6 +121,7 @@ def test_sizes_match_encoder_on_mobile_run_with_faults_and_adversaries(frames):
     assert stats["re_dad_count"] > 0
     assert forger.router.hops_spoofed > 0
     assert spammer.router.rerrs_spammed > 0
+    assert replayer.replays_fired > 0
     assert {"AREQ", "RREQ", "RREP", "DATA", "ACK", "RERR"} <= sent_names(sent)
     assert mismatched == []
 

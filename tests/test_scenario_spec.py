@@ -66,33 +66,6 @@ def test_every_router_round_trips(cls, name):
     assert all(type(h.router) is cls for h in rebuilt.hosts)
 
 
-def test_medium_index_round_trips():
-    builder = ScenarioBuilder(seed=5).chain(3).medium("naive")
-    spec = _assert_round_trip(builder)
-    assert spec["medium_index"] == "naive"
-    assert ScenarioBuilder.from_spec(spec).build().medium.index_kind == "naive"
-
-    # the default is sparse: grid-indexed specs carry no key and old
-    # (pre-fast-path) specs keep parsing
-    default = ScenarioBuilder(seed=5).chain(3)
-    assert "medium_index" not in default.to_spec()
-    assert default.build().medium.index_kind == "grid"
-    with pytest.raises(ValueError):
-        ScenarioBuilder(seed=5).medium("octree")
-
-
-def test_medium_knobs_compose_in_either_order():
-    """Setting one medium knob must not clobber the other, whichever
-    order the calls arrive in."""
-    for builder in (
-        ScenarioBuilder(seed=5).chain(3).medium(vectorized=False).medium("naive"),
-        ScenarioBuilder(seed=5).chain(3).medium("naive").medium(vectorized=False),
-    ):
-        spec = builder.to_spec()
-        assert spec["medium_index"] == "naive"
-        assert spec["medium_vectorized"] is False
-
-
 def test_uniform_density_scales_area_with_n():
     """Same density, more nodes => bigger area, roughly constant degree."""
     small = ScenarioBuilder(seed=9).uniform_density(20, density=8.0).build()

@@ -109,7 +109,7 @@ GOLDEN = {
     rsa_hop_forger:
         "a72b035e9c2d866d2dc7e3d88f7798d36184be8501fbe641f6cde91319c0a531",
     replayer:
-        "c305b87c9d0f9697c7078a6bb50d0fad237c94fe2877fbe6fbf7b481408eec70",
+        "158285a4805d6f065a7c7f1de58ce8b8ec384d8a184559ff1aa4e72b2e5a1838",
     blackhole:
         "9f02ab08484b8e770f861ab5d6ed253abd5ffe5ae9c00e522f8d4984e032114f",
     corrupt_and_partition:
