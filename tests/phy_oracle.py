@@ -132,7 +132,8 @@ class OracleMedium(WirelessMedium):
 
 
 @contextmanager
-def oracle_medium():
-    """Scenarios built inside this block get an :class:`OracleMedium`."""
-    with mock.patch.object(builder_module, "WirelessMedium", OracleMedium):
+def oracle_medium(medium_cls: type[WirelessMedium] = OracleMedium):
+    """Scenarios built inside this block get a ``medium_cls`` medium
+    (an :class:`OracleMedium` unless told otherwise)."""
+    with mock.patch.object(builder_module, "WirelessMedium", medium_cls):
         yield

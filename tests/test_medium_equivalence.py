@@ -8,7 +8,9 @@ radio and a scalar per-receiver loop.  Same seed + same scenario must
 yield identical metrics summaries, identical traces and identical
 medium counters, under loss, random-waypoint mobility, churn,
 promiscuous (monitor-mode) radios and every frame-level fault kind
-(partition, link flap, loss surge, corrupt).
+(partition, link flap, loss surge, corrupt).  The index and the
+pipeline swapped one at a time are in
+tests/test_vectorized_equivalence.py.
 """
 
 import pytest
@@ -247,31 +249,3 @@ def test_neighbors_matches_brute_force(medium_cls):
         ]
         assert medium.neighbors(h.link_id) == expected
 
-
-def test_mobility_invalidates_candidate_cache():
-    """A radio that moves between broadcasts must be seen at its *new*
-    position -- the per-sender range cache may never serve stale
-    distances or stale membership."""
-    sim = Simulator(seed=5)
-    medium = WirelessMedium(sim, radio_range=100.0)
-    heard = []
-    a = medium.attach((0.0, 0.0), lambda f: None)
-    b = medium.attach((90.0, 0.0), lambda f: heard.append(sim.now))
-    medium.broadcast(Frame(a.link_id, BROADCAST_LINK, SRC_IP, "x", 10))
-    sim.run()
-    assert len(heard) == 1
-    # b walks out of range: the cached receiver set must be recomputed
-    medium.set_position(b.link_id, (500.0, 0.0))
-    medium.broadcast(Frame(a.link_id, BROADCAST_LINK, SRC_IP, "x", 10))
-    sim.run()
-    assert len(heard) == 1
-    # ... and back in range, closer: delivered again, at the new distance
-    medium.set_position(b.link_id, (10.0, 0.0))
-    medium.broadcast(Frame(a.link_id, BROADCAST_LINK, SRC_IP, "x", 10))
-    sim.run()
-    assert len(heard) == 2
-    # disabling a receiver invalidates too
-    medium.set_enabled(b.link_id, False)
-    medium.broadcast(Frame(a.link_id, BROADCAST_LINK, SRC_IP, "x", 10))
-    sim.run()
-    assert len(heard) == 2
