@@ -14,15 +14,16 @@ behaviours) are attached by the scenario builder; the node itself knows
 nothing about any specific protocol message.
 
 Crypto delay accounting: when ``config.charge_crypto_delay`` is on,
-every sign/verify executed through :meth:`sign`/:meth:`verify` adds the
-backend's simulated op cost to a debt that is paid as extra delay on the
-node's *next transmission* -- modelling "the CPU was busy verifying
-before it could forward", without turning every handler into a
-continuation.
+every sign/verify executed through :meth:`sign`, :meth:`sign_on_read`
+or :meth:`verify` adds the backend's simulated op cost to a debt that
+is paid as extra delay on the node's *next transmission* -- modelling
+"the CPU was busy verifying before it could forward", without turning
+every handler into a continuation.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from collections import OrderedDict
 from typing import Callable, Type
@@ -171,10 +172,21 @@ class Node:
 
     # -- crypto with accounting ------------------------------------------------
     def sign(self, payload: bytes) -> bytes:
+        return self.sign_on_read(payload)()
+
+    def sign_on_read(self, payload: bytes) -> Callable[[], bytes]:
+        """Account one sign now; the returned signer computes its bytes.
+
+        The sign op and its crypto debt are charged at this call, exactly
+        as :meth:`sign` charges them.  The host work -- the backend's
+        ``sign`` with this node's private key -- runs when the signer is
+        called, so a signature nobody reads costs no host time (a
+        relay's SRR entry; see ``SRREntry.deferred``).
+        """
         self.ctx.metrics.on_crypto(self.backend.name, "sign")
         if self.config.charge_crypto_delay:
             self._crypto_debt += self.backend.op_cost("sign")
-        return self.backend.sign(self.keypair.private, payload)
+        return functools.partial(self.backend.sign, self.keypair.private, payload)
 
     def verify(
         self,

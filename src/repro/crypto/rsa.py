@@ -103,19 +103,12 @@ def generate_prime(seed: bytes, label: bytes, bits: int) -> int:
         n += 2
 
 
-def _egcd(a: int, b: int) -> tuple[int, int, int]:
-    if a == 0:
-        return b, 0, 1
-    g, x, y = _egcd(b % a, a)
-    return g, y - (b // a) * x, x
-
-
 def modinv(a: int, m: int) -> int:
-    """Modular inverse of ``a`` mod ``m``; raises if gcd(a, m) != 1."""
-    g, x, _ = _egcd(a % m, m)
-    if g != 1:
-        raise ValueError("modular inverse does not exist")
-    return x % m
+    """Modular inverse of ``a`` mod ``m``, in ``[0, m)``.
+
+    Raises ``ValueError`` if gcd(a, m) != 1.
+    """
+    return pow(a, -1, m)
 
 
 class RSAPrivateMaterial:

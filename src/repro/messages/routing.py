@@ -10,7 +10,7 @@ BSAR's endpoint-only verification.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import Callable, ClassVar
 
 from repro.crypto.keys import PublicKey
 from repro.ipv6.address import IPv6Address
@@ -22,12 +22,72 @@ class SRREntry:
     """One hop's identity proof inside the SRR.
 
     Fields map to the paper's ``([I_IP, seq]_ISK, I_PK, I_rn)``.
+
+    An honest relay builds its entry with :meth:`deferred`: the
+    signature bytes are computed when something first reads
+    ``signature`` (D's SRR check, an encode, ``==``/``hash``, a trace
+    summary), by a signer bound to the relay's key and payload.  Only D
+    reads them in the paper's setting, and relayed copies share the
+    entry, so each signature is computed at most once.
     """
+
+    __slots__ = ("ip", "signature", "public_key", "rn", "_signature_size", "_signer")
 
     ip: IPv6Address
     signature: bytes
     public_key: PublicKey
     rn: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_signature_size", len(self.signature))
+
+    @classmethod
+    def deferred(
+        cls,
+        *,
+        ip: IPv6Address,
+        public_key: PublicKey,
+        rn: int,
+        signer: Callable[[], bytes],
+        signature_size: int,
+    ) -> "SRREntry":
+        """An entry whose signature is ``signer()``, run on first read.
+
+        ``signature_size`` is the length ``signer`` returns, so the
+        entry is sized without signing.  The signer sits in a private
+        slot and is dropped once it has run; ``repr``, ``copy`` and
+        ``pickle`` read the bytes and never see it.
+        """
+        entry = object.__new__(cls)
+        for name, value in (("ip", ip), ("public_key", public_key), ("rn", rn),
+                            ("_signature_size", signature_size), ("_signer", signer)):
+            object.__setattr__(entry, name, value)
+        return entry
+
+    def __getattr__(self, name: str):
+        # Reached only for an unset slot: the signature of a deferred
+        # entry before its first read.
+        if name != "signature":
+            raise AttributeError(f"'SRREntry' object has no attribute {name!r}")
+        signature = self._signer()
+        if len(signature) != self._signature_size:
+            raise ValueError(
+                f"signer returned {len(signature)} bytes, sized as {self._signature_size}"
+            )
+        object.__setattr__(self, "signature", signature)
+        object.__delattr__(self, "_signer")
+        return signature
+
+    def __reduce__(self):
+        return (type(self), (self.ip, self.signature, self.public_key, self.rn))
+
+    def wire_size(self) -> int:
+        """Encoded length in bytes; sizing a deferred entry does not sign it."""
+        w = Writer()
+        w.address(self.ip)
+        w.public_key(self.public_key)
+        w.u64(self.rn)
+        return len(w) + 2 + self._signature_size  # + the signature blob
 
     def encode(self, w: Writer) -> None:
         w.address(self.ip)
@@ -93,13 +153,19 @@ class RREQ(Message):
     def append_entry(self, entry: SRREntry) -> "RREQ":
         """Rebroadcast copy with this hop's identity proof appended.
 
-        Its wire size is this message's plus the encoded ``entry``.
+        Its wire size is this message's plus ``entry.wire_size()``, so a
+        deferred entry stays unsigned.
         """
-        w = Writer()
-        entry.encode(w)
         return self._relayed(
-            len(w), srr=self.srr + (entry,), hop_limit=self.hop_limit - 1
+            entry.wire_size(), srr=self.srr + (entry,), hop_limit=self.hop_limit - 1
         )
+
+    def __getstate__(self) -> dict:
+        # copy, deepcopy and pickle: every entry's signature is read
+        # first, so no copy of this message carries a pending signer.
+        for entry in self.srr:
+            entry.signature
+        return self.__dict__
 
     def _encode_fields(self, w: Writer) -> None:
         w.address(self.sip)

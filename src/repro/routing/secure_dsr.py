@@ -395,17 +395,24 @@ class SecureDSRRouter:
             if not check:
                 self.node.verdict(f"rreq.rejected.{check.reason}")
                 return
-        hop_sig = (
-            self._sign(signing.srr_entry_payload(self.node.ip, msg.seq))
-            if self.SIGN_HOPS
-            else b""
-        )
-        entry = SRREntry(
-            ip=self.node.ip,
-            signature=hop_sig,
-            public_key=self.node.public_key,
-            rn=self._own_rn(),
-        )
+        if self.SIGN and self.SIGN_HOPS:
+            # Charged now; computed when D's check (or anything) reads it.
+            entry = SRREntry.deferred(
+                ip=self.node.ip,
+                public_key=self.node.public_key,
+                rn=self._own_rn(),
+                signer=self.node.sign_on_read(
+                    signing.srr_entry_payload(self.node.ip, msg.seq)
+                ),
+                signature_size=self.node.backend.signature_size(),
+            )
+        else:
+            entry = SRREntry(
+                ip=self.node.ip,
+                signature=b"",
+                public_key=self.node.public_key,
+                rn=self._own_rn(),
+            )
         relayed = msg.append_entry(entry)
         delay = self._rng.uniform(0.0, self.cfg.rebroadcast_jitter)
         self.node.sim.schedule(delay, self.node.broadcast, relayed)

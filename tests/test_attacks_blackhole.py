@@ -5,7 +5,7 @@ import pytest
 from repro.routing.dsr import PlainDSRRouter
 from repro.scenarios.attacks import add_blackhole, add_identity_churner
 from repro.scenarios.workloads import CBRTraffic
-from tests.conftest import two_path_scenario
+from conftest import two_path_scenario
 
 
 def run_blackhole(router=None, hostile=True, seed=5, count=20, forge=False,

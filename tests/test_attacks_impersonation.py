@@ -5,7 +5,7 @@ import pytest
 from repro.adversary.impersonator import attempt_address_takeover
 from repro.ipv6.cga import cga_address
 from repro.scenarios.attacks import add_dns_impersonator
-from tests.conftest import chain_scenario
+from conftest import chain_scenario
 
 
 def test_dns_impersonator_cannot_poison_resolution():

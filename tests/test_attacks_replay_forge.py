@@ -7,7 +7,7 @@ from repro.routing.bsar_like import EndpointOnlyRouter
 from repro.scenarios import ScenarioBuilder
 from repro.scenarios.attacks import add_forger, add_replayer, add_rerr_spammer
 from repro.scenarios.workloads import CBRTraffic
-from tests.conftest import chain_scenario, two_path_scenario
+from conftest import chain_scenario, two_path_scenario
 
 
 def test_replayed_rreps_never_accepted():

@@ -4,7 +4,7 @@ import pytest
 
 from repro.scenarios.attacks import add_rerr_spammer
 from repro.scenarios.workloads import CBRTraffic
-from tests.conftest import two_path_scenario
+from conftest import two_path_scenario
 
 
 def run_spammer(seed=5, also_drop=False, count=20, hostile=False, trace=False,

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.ipv6.prefixes import is_site_local
-from tests.conftest import chain_scenario
+from conftest import chain_scenario
 
 
 def test_all_hosts_configure_unique_site_local_addresses():

@@ -18,7 +18,7 @@ import itertools
 from repro.phy.mobility import ChurnModel
 from repro.scenarios import ScenarioBuilder
 from repro.scenarios.attacks import add_dns_impersonator, add_forger, add_replayer
-from tests.conftest import chain_scenario, two_path_scenario
+from conftest import chain_scenario, two_path_scenario
 
 #: Every (shared_cache, batch_verify, keypair_pool) combination; the
 #: all-off corner (the pre-fast-path behaviour) is the reference.

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.ipv6.cga import cga_address
-from tests.conftest import chain_scenario
+from conftest import chain_scenario
 
 
 def bootstrapped(names=None, n=4, seed=11, **config):

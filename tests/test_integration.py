@@ -4,7 +4,7 @@ import pytest
 
 from repro.scenarios.builder import ScenarioBuilder
 from repro.scenarios.workloads import CBRTraffic, PoissonTraffic, RequestResponse
-from tests.conftest import chain_scenario
+from conftest import chain_scenario
 
 
 def test_full_lifecycle_bootstrap_register_resolve_communicate():

@@ -166,7 +166,7 @@ def test_data_packet_roundtrip(sip, dip, seq, route, payload, seg):
 
 
 def _sample_encodings():
-    from tests.test_messages_codec import sample_messages
+    from test_messages_codec import sample_messages
 
     rsa_key = get_backend("rsa").generate_keypair(b"prop-rsa").public
     return [encode_message(m)

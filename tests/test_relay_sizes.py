@@ -25,8 +25,8 @@ from repro.routing.dsr import NULL_KEY
 from repro.scenarios import ScenarioBuilder
 from repro.scenarios.attacks import add_forger, add_replayer, add_rerr_spammer
 from repro.scenarios.workloads import CBRTraffic
-from tests.conftest import chain_scenario
-from tests.test_messages_codec import A1, A2, A3, KEY, sample_messages
+from conftest import chain_scenario
+from test_messages_codec import A1, A2, A3, KEY, sample_messages
 
 RSA_KEY = get_backend("rsa").generate_keypair(b"relay-sizes").public
 
@@ -37,23 +37,37 @@ def type_name(msg):
 
 # -- (a) the encoder as size oracle over whole runs ---------------------------
 
+def newest_entry_unsigned(msg):
+    """Is ``msg`` an RREQ whose newest SRR entry has not been signed yet?"""
+    return isinstance(msg, RREQ) and bool(msg.srr) and hasattr(msg.srr[-1], "_signer")
+
+
 @pytest.fixture
 def frames(monkeypatch):
-    """``(sent, mismatched)``: every frame's message, and the summary of
-    each one whose ``wire_size()`` differs from its encoded length."""
+    """``(sent, mismatched, deferred)``: every frame's message; the
+    summary of each one whose ``wire_size()`` differs from its encoded
+    length or whose sizing signed its newest SRR entry; and the relayed
+    RREQs sized with that entry still unsigned."""
     sent = []
     mismatched = []
+    deferred = []
     trace_send = Node._trace_send
 
     def checked(node, msg, next_hop=None):
+        unsigned = newest_entry_unsigned(msg)
         size = trace_send(node, msg, next_hop)
+        if unsigned:
+            if newest_entry_unsigned(msg):
+                deferred.append(msg)
+            else:
+                mismatched.append("signed by sizing: " + msg.summary())
         if size != len(encode_message(msg)):
             mismatched.append(msg.summary())
         sent.append(msg)
         return size
 
     monkeypatch.setattr(Node, "_trace_send", checked)
-    return sent, mismatched
+    return sent, mismatched, deferred
 
 
 def sent_names(sent):
@@ -61,7 +75,7 @@ def sent_names(sent):
 
 
 def test_sizes_match_encoder_on_rsa_chain_with_data_crep_rerr_and_replays(frames):
-    sent, mismatched = frames
+    sent, mismatched, deferred = frames
     sc = chain_scenario(n=5, seed=7, crypto_backend="rsa").build()
     replayer = add_replayer(sc, (500.0, 120.0)).component("replayer")
     sc.bootstrap_all()
@@ -78,6 +92,7 @@ def test_sizes_match_encoder_on_rsa_chain_with_data_crep_rerr_and_replays(frames
     assert sc.metrics.crypto_ops["rsa.sign"] > 0
     assert {"AREQ", "RREQ", "RREP", "CREP", "DATA", "ACK", "RERR"} <= sent_names(sent)
     assert mismatched == []
+    assert deferred
 
 
 def grid_bootstrap():
@@ -88,7 +103,7 @@ def grid_bootstrap():
 
 
 def test_sizes_match_encoder_on_simsig_grid_bootstrap_with_names(frames):
-    sent, mismatched = frames
+    sent, mismatched, deferred = frames
     sc = grid_bootstrap()
     assert sc.configured_count() == len(sc.hosts)
     assert "AREQ" in sent_names(sent)
@@ -98,7 +113,7 @@ def test_sizes_match_encoder_on_simsig_grid_bootstrap_with_names(frames):
 def test_sizes_match_encoder_on_mobile_run_with_faults_and_adversaries(frames):
     """Corrupted copies (a plain ``replace``), re-DAD after a crash and a
     partition heal, spoofed SRR entries, false RERRs and replays."""
-    sent, mismatched = frames
+    sent, mismatched, deferred = frames
     sc = (ScenarioBuilder(seed=11).grid(16, spacing=180.0)
           .with_dns((270.0, 270.0))
           .random_waypoint(speed=(1.0, 5.0), pause=2.0)
@@ -124,6 +139,7 @@ def test_sizes_match_encoder_on_mobile_run_with_faults_and_adversaries(frames):
     assert replayer.replays_fired > 0
     assert {"AREQ", "RREQ", "RREP", "DATA", "ACK", "RERR"} <= sent_names(sent)
     assert mismatched == []
+    assert deferred
 
 
 # -- (b) Message.replace builds what dataclasses.replace builds ---------------

@@ -1,6 +1,6 @@
 """Integration tests for cached route replies (CREP, Section 3.3)."""
 
-from tests.conftest import chain_scenario
+from conftest import chain_scenario
 
 
 def test_crep_answers_from_cache():
@@ -91,6 +91,58 @@ def test_forged_crep_cached_leg_rejected():
     mallory.unicast_ip(s_prime.ip, crep)
     sc.run(duration=1.0)
     assert sc.metrics.verdicts["crep.rejected.cached_bad_cga"] >= 1
+
+
+def test_crep_with_a_fresh_leg_that_does_not_verify_is_rejected():
+    """The cache holder's real cached leg, under a fresh-leg signature
+    that does not verify: S' must reject the CREP and cache nothing.
+    The same CREP with the holder's real fresh-leg signature is then
+    accepted, so the fresh leg alone decides."""
+    from repro.messages import signing
+    from repro.messages.routing import CREP
+    from repro.phy.medium import Frame
+
+    sc = chain_scenario(n=5, seed=7).build()
+    sc.bootstrap_all()
+    s_prime, s, d = sc.hosts[0], sc.hosts[1], sc.hosts[4]
+    s.router.send_data(d.ip, b"warm-up")
+    sc.run(duration=5.0)
+    cached = s.router.cache.best_shareable(d.ip, sc.sim.now)
+    assert cached is not None
+    assert not s_prime.router.cache.has_route(d.ip, sc.sim.now)
+
+    # A live discovery at S' (its RREQ flood stays queued: the CREPs
+    # below are handed to S' before the simulation runs again).
+    s_prime.router.discover(d.ip)
+    seq = s_prime.router._pending_discovery[d.ip].seq
+    fresh_signature = s.sign(signing.crep_fresh_leg_payload(s_prime.ip, seq, ()))
+    crep = CREP(
+        sprime_ip=s_prime.ip,
+        sip=s.ip,
+        dip=d.ip,
+        fresh_seq=seq,
+        fresh_route=(),
+        fresh_signature=bytes(b ^ 0xFF for b in fresh_signature),
+        fresh_public_key=s.public_key,
+        fresh_rn=s.cga_params.rn,
+        cached_seq=cached.crep_seq,
+        cached_route=cached.route,
+        cached_signature=cached.crep_signature,
+        cached_public_key=cached.crep_public_key,
+        cached_rn=cached.crep_rn,
+    )
+
+    def deliver(msg):
+        s_prime._on_frame(Frame(s.link_id, s_prime.link_id, s.ip, msg, msg.wire_size()))
+
+    deliver(crep)
+    assert sc.metrics.verdicts["crep.rejected.fresh_bad_signature"] == 1
+    assert sc.metrics.verdicts["crep.accepted"] == 0
+    assert not s_prime.router.cache.has_route(d.ip, sc.sim.now)
+
+    deliver(crep.replace(fresh_signature=fresh_signature))
+    assert sc.metrics.verdicts["crep.accepted"] == 1
+    assert s_prime.router.cache.has_route(d.ip, sc.sim.now)
 
 
 def test_crep_loop_splice_falls_back_to_relay():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from tests.conftest import chain_scenario
+from conftest import chain_scenario
 
 
 def bootstrapped(n=5, seed=7, **config):

@@ -4,7 +4,7 @@ import pytest
 
 from repro.routing.bsar_like import EndpointOnlyRouter
 from repro.routing.dsr import PlainDSRRouter
-from tests.conftest import chain_scenario
+from conftest import chain_scenario
 
 
 def bootstrapped(n=5, seed=7, router=None, **config):
@@ -40,32 +40,74 @@ def test_rreq_carries_verifiable_srr_entries():
     assert sc.metrics.crypto_total("verify") >= 3
 
 
-def test_destination_rejects_tampered_hop(monkeypatch):
+def rejects_tampered_hop(monkeypatch, deferred):
     """If any SRR entry is corrupted in flight, D must reject the RREQ."""
     sc = bootstrapped(n=4)
     a, b = sc.hosts[0], sc.hosts[3]
     relay = sc.hosts[1]
-    orig_relay = type(relay.router)._relay_rreq
 
     def corrupt_relay(self, msg):
         # Sign over the wrong sequence number: a spliced/stale entry.
         from repro.messages import signing
         from repro.messages.routing import SRREntry
 
-        bad = SRREntry(
-            ip=self.node.ip,
-            signature=self.node.sign(
-                signing.srr_entry_payload(self.node.ip, msg.seq + 1)
-            ),
-            public_key=self.node.public_key,
-            rn=self._own_rn(),
-        )
+        payload = signing.srr_entry_payload(self.node.ip, msg.seq + 1)
+        identity = dict(ip=self.node.ip, public_key=self.node.public_key,
+                        rn=self._own_rn())
+        if deferred:
+            bad = SRREntry.deferred(
+                **identity,
+                signer=self.node.sign_on_read(payload),
+                signature_size=self.node.backend.signature_size(),
+            )
+        else:
+            bad = SRREntry(**identity, signature=self.node.sign(payload))
         self.node.broadcast(msg.append_entry(bad))
 
     monkeypatch.setattr(type(relay.router), "_relay_rreq", corrupt_relay)
     a.router.discover(b.ip)
     sc.run(duration=3.0)
     assert sc.metrics.verdicts["rreq.rejected.hop_bad_signature"] >= 1
+
+
+def test_destination_rejects_tampered_hop(monkeypatch):
+    rejects_tampered_hop(monkeypatch, deferred=False)
+
+
+def test_destination_rejects_tampered_deferred_hop(monkeypatch):
+    """The bad signature is computed only when D reads it."""
+    rejects_tampered_hop(monkeypatch, deferred=True)
+
+
+def test_destination_rejects_a_source_signature_that_does_not_verify(monkeypatch):
+    """Every relay zeroes S's signature; S's key and CGA still hold.
+
+    D must reject each copy on the source check, answer none, and S must
+    learn no route.
+    """
+    from repro.routing.secure_dsr import SecureDSRRouter
+
+    sc = bootstrapped(n=4)
+    sc.trace.enabled = True
+    a, d = sc.hosts[0], sc.hosts[3]
+    relay_rreq = SecureDSRRouter._relay_rreq
+
+    def zero_source_signature(self, msg):
+        zeroed = bytes(len(msg.source_signature))
+        relay_rreq(self, msg.replace(source_signature=zeroed))
+
+    monkeypatch.setattr(SecureDSRRouter, "_relay_rreq", zero_source_signature)
+    a.router.discover(d.ip)
+    sc.run(duration=10.0)  # every retry of the discovery, too
+
+    seqs = {e.payload.seq for e in sc.trace.sends("RREQ") if e.node == a.name}
+    assert len(seqs) == 1 + a.config.rreq_max_retries
+    assert sc.metrics.verdicts["rreq.rejected.source_bad_signature"] >= len(seqs)
+    assert sc.metrics.verdicts["rreq.accepted"] == 0
+    # No other discovery runs, so D answering nothing covers each (sip, seq).
+    assert not [e for e in sc.trace.sends("RREP") if e.node == d.name]
+    assert not a.router.cache.has_route(d.ip, sc.sim.now)
+    assert sc.metrics.discoveries_succeeded == 0
 
 
 def test_source_rejects_tampered_rrep_route(monkeypatch):

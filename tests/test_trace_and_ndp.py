@@ -5,7 +5,7 @@ import pytest
 from repro.messages.base import Message
 from repro.trace.recorder import TraceRecorder
 from repro.trace.sequence import render_sequence_chart, transcript
-from tests.conftest import chain_scenario
+from conftest import chain_scenario
 
 
 @pytest.fixture

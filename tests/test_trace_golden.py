@@ -16,7 +16,7 @@ import pytest
 
 from repro.scenarios.attacks import add_blackhole, add_forger, add_replayer
 from repro.scenarios.workloads import CBRTraffic
-from tests.conftest import chain_scenario, two_path_scenario
+from conftest import chain_scenario, two_path_scenario
 
 
 def bootstrap_with_dns():
