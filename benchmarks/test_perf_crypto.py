@@ -1,7 +1,7 @@
 """Experiment P3 -- crypto backend microbenchmarks + fast-path scorecard.
 
 The protocol logic is backend-independent (one CryptoBackend interface).
-This file times the primitive operations of the from-scratch RSA backend
+This file times the primitive operations of the RSA backend
 against the hash-based simulated-signature backend, and asserts the
 expected cost asymmetries: RSA sign >> RSA verify (small public
 exponent), and simsig is orders of magnitude cheaper than both -- which

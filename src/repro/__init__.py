@@ -7,7 +7,7 @@ simulator:
 
 * :mod:`repro.sim`       -- discrete-event kernel, deterministic RNG
 * :mod:`repro.phy`       -- unit-disk wireless medium, mobility, topologies
-* :mod:`repro.crypto`    -- from-scratch RSA + simulated-signature backends
+* :mod:`repro.crypto`    -- RSA (modexp in libcrypto) + simulated-signature backends
 * :mod:`repro.ipv6`      -- IPv6 addresses, site-local prefix, CGAs (Fig. 1)
 * :mod:`repro.messages`  -- Table 1 control messages + codec
 * :mod:`repro.ndp`       -- one-hop NDP/DAD baseline (RFC 2461)

@@ -10,10 +10,11 @@ protocol relies on.
 
 Two interchangeable backends implement :class:`CryptoBackend`:
 
-* :class:`~repro.crypto.rsa.RSABackend` -- textbook RSA built from
-  scratch (Miller-Rabin keygen, CRT private exponentiation).  Used in
-  security-focused tests; small keys keep laptop runs fast while the
-  algebra is the real thing.
+* :class:`~repro.crypto.rsa.RSABackend` -- textbook RSA: the scheme
+  in Python (Miller-Rabin keygen, CRT private exponentiation), its
+  modular exponentiation in OpenSSL's libcrypto
+  (:mod:`repro.crypto.bignum`).  Used in security-focused tests; small
+  keys keep laptop runs fast while the algebra is the real thing.
 * :class:`~repro.crypto.simsig.SimSigBackend` -- hash-based simulated
   signatures with a configurable artificial cost, for large parameter
   sweeps where thousands of nodes sign per second.  Unforgeable only

@@ -25,10 +25,12 @@ class SRREntry:
 
     An honest relay builds its entry with :meth:`deferred`: the
     signature bytes are computed when something first reads
-    ``signature`` (D's SRR check, an encode, ``==``/``hash``, a trace
-    summary), by a signer bound to the relay's key and payload.  Only D
-    reads them in the paper's setting, and relayed copies share the
-    entry, so each signature is computed at most once.
+    ``signature`` (D's SRR check, an encode, ``==``/``hash``), by a
+    signer bound to the relay's key and payload.  Only D reads them in
+    the paper's setting, and relayed copies share the entry, so each
+    signature is computed at most once.  ``repr`` leaves the signature
+    out, so formatting an entry (a trace line, ``repr`` of its RREQ)
+    never signs it.
     """
 
     __slots__ = ("ip", "signature", "public_key", "rn", "_signature_size", "_signer")
@@ -55,8 +57,8 @@ class SRREntry:
 
         ``signature_size`` is the length ``signer`` returns, so the
         entry is sized without signing.  The signer sits in a private
-        slot and is dropped once it has run; ``repr``, ``copy`` and
-        ``pickle`` read the bytes and never see it.
+        slot and is dropped once it has run; ``copy`` and ``pickle``
+        read the bytes and never see it.
         """
         entry = object.__new__(cls)
         for name, value in (("ip", ip), ("public_key", public_key), ("rn", rn),
@@ -80,6 +82,10 @@ class SRREntry:
 
     def __reduce__(self):
         return (type(self), (self.ip, self.signature, self.public_key, self.rn))
+
+    def __repr__(self) -> str:
+        # The dataclass repr minus the signature; reading it would sign.
+        return f"SRREntry(ip={self.ip!r}, public_key={self.public_key!r}, rn={self.rn!r})"
 
     def wire_size(self) -> int:
         """Encoded length in bytes; sizing a deferred entry does not sign it."""

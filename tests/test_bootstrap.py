@@ -208,3 +208,67 @@ def test_dad_gives_up_after_max_retries():
     sc.run(duration=30.0)
     assert boot.state == "failed"
     assert failures and failures[0] is joiner
+
+
+# -- forged DREPs: the DNS signature is the only proof of a name conflict ------
+
+def forged_drep(forger, sip, name, ch):
+    """A DREP for ``name`` signed by ``forger``'s own key, not the DNS's.
+
+    ``ch`` is the challenge of the probe it answers, which every
+    neighbour hears in the AREQ.
+    """
+    from repro.messages import signing
+    from repro.messages.bootstrap import DREP
+
+    signature = forger.sign(signing.drep_payload(name, ch))
+    return DREP(sip=sip, route_record=(), domain_name=name, signature=signature)
+
+
+@pytest.mark.parametrize("crypto_backend", ["simsig", "rsa"])
+def test_forged_drep_does_not_take_a_joiners_name(crypto_backend):
+    sc = chain_scenario(n=3, seed=17, crypto_backend=crypto_backend).build()
+    sc.sim.schedule(0.0, sc.hosts[0].bootstrap.start, "")
+    sc.sim.schedule(0.3, sc.hosts[1].bootstrap.start, "")
+    sc.run(duration=5.0)
+
+    joiner, attacker = sc.hosts[2], sc.hosts[1]
+    boot = joiner.bootstrap
+    boot.start("carol.manet")
+    sc.run(duration=0.2)  # AREQ is out; joiner still probing
+    assert boot.state == "probing"
+    rejected = sc.metrics.verdicts["drep.rejected.bad_signature"]
+    conflicts = sc.metrics.name_conflicts_detected
+    round_, seq = boot.round, boot.pending_seq
+
+    attacker.broadcast(forged_drep(attacker, boot.tentative_ip, "carol.manet", boot.pending_ch))
+    sc.run(duration=0.5)  # delivered; the DAD timer has not fired yet
+    assert sc.metrics.verdicts["drep.rejected.bad_signature"] == rejected + 1
+    assert boot.requested_name == "carol.manet"
+    assert sc.metrics.name_conflicts_detected == conflicts
+    assert (boot.state, boot.round, boot.pending_seq) == ("probing", round_, seq)
+    sc.run(duration=5.0)
+    assert joiner.configured and joiner.domain_name == "carol.manet"
+
+
+@pytest.mark.parametrize("crypto_backend", ["simsig", "rsa"])
+def test_forged_refresh_drep_does_not_take_a_configured_name(crypto_backend):
+    sc = chain_scenario(n=3, seed=17, crypto_backend=crypto_backend).build()
+    sc.bootstrap_all(names={"n2": "carol.manet"})
+    sc.run(duration=8.0)  # the registration refresh has landed
+    host, attacker = sc.hosts[2], sc.hosts[1]
+    boot = host.bootstrap
+    assert boot.state == "configured" and host.domain_name == "carol.manet"
+    rejected = sc.metrics.verdicts["drep.rejected.bad_signature"]
+    conflicts = sc.metrics.name_conflicts_detected
+
+    sc.trace.enabled = True
+    attacker.broadcast(forged_drep(attacker, host.ip, "carol.manet", boot.pending_ch))
+    sc.run(duration=host.config.registration_refresh_delay + 2.0)
+    assert sc.metrics.verdicts["drep.rejected.bad_signature"] == rejected + 1
+    assert host.domain_name == "carol.manet"
+    assert sc.metrics.name_conflicts_detected == conflicts
+    # No refresh was scheduled: the host floods no registration AREQ.
+    assert sc.trace.sends("DREP") and not [
+        e for e in sc.trace.sends("AREQ") if e.node == host.name
+    ]

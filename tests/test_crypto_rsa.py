@@ -1,7 +1,8 @@
-"""Unit tests for the from-scratch RSA backend."""
+"""Unit tests for the RSA backend."""
 
 import pytest
 
+from repro.crypto.bignum import ModExp
 from repro.crypto.rsa import (
     RSABackend,
     generate_prime,
@@ -10,35 +11,40 @@ from repro.crypto.rsa import (
 )
 
 
-def test_is_probable_prime_small_values():
+@pytest.fixture(scope="module")
+def modexp():
+    return ModExp()
+
+
+def test_is_probable_prime_small_values(modexp):
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37}
     for n in range(2, 38):
-        assert is_probable_prime(n) == (n in primes)
-    assert not is_probable_prime(0)
-    assert not is_probable_prime(1)
-    assert not is_probable_prime(-7)
+        assert is_probable_prime(n, modexp) == (n in primes)
+    assert not is_probable_prime(0, modexp)
+    assert not is_probable_prime(1, modexp)
+    assert not is_probable_prime(-7, modexp)
 
 
-def test_is_probable_prime_known_larger_values():
-    assert is_probable_prime(104729)       # 10000th prime
-    assert not is_probable_prime(104730)
-    assert is_probable_prime(2**61 - 1)     # Mersenne prime
-    assert not is_probable_prime(2**62 - 1)
+def test_is_probable_prime_known_larger_values(modexp):
+    assert is_probable_prime(104729, modexp)       # 10000th prime
+    assert not is_probable_prime(104730, modexp)
+    assert is_probable_prime(2**61 - 1, modexp)     # Mersenne prime
+    assert not is_probable_prime(2**62 - 1, modexp)
 
 
-def test_carmichael_numbers_rejected():
+def test_carmichael_numbers_rejected(modexp):
     # Carmichael numbers fool Fermat tests; Miller-Rabin must not be fooled.
     for n in (561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265):
-        assert not is_probable_prime(n)
+        assert not is_probable_prime(n, modexp)
 
 
-def test_generate_prime_deterministic_and_sized():
-    p1 = generate_prime(b"seed", b"p", 256)
-    p2 = generate_prime(b"seed", b"p", 256)
+def test_generate_prime_deterministic_and_sized(modexp):
+    p1 = generate_prime(b"seed", b"p", 256, modexp)
+    p2 = generate_prime(b"seed", b"p", 256, modexp)
     assert p1 == p2
     assert p1.bit_length() == 256
-    assert is_probable_prime(p1)
-    assert generate_prime(b"seed", b"q", 256) != p1
+    assert is_probable_prime(p1, modexp)
+    assert generate_prime(b"seed", b"q", 256, modexp) != p1
 
 
 def test_modinv():
@@ -133,7 +139,7 @@ def test_sign_rejects_foreign_key(backend):
 def test_crt_power_matches_plain_pow(backend, keypair):
     mat = keypair.private.material
     m = 0x1234567890ABCDEF
-    assert mat.power(m) == pow(m, mat.d, mat.n)
+    assert mat.power(m, backend._modexp) == pow(m, mat.d, mat.n)
 
 
 def test_distinct_bit_sizes_have_distinct_names():

@@ -3,10 +3,11 @@
 An honest relay charges its hop's sign when it relays -- the ``sign``
 crypto op, and the backend's simulated debt -- but the backend computes
 the signature only when something first reads ``entry.signature``: D's
-SRR check, an encode, ``==``/``hash`` or a trace summary.  In the
-paper's setting only D reads it.  These tests pin when the bytes are
-computed, that they are the eager entry's bytes, and that no copy of a
-message carries the signer or the relay's private key.
+SRR check, an encode or ``==``/``hash``; a trace summary or ``repr``
+formats the entry without it.  In the paper's setting only D reads it.
+These tests pin when the bytes are computed, that they are the eager
+entry's bytes, and that no copy of a message carries the signer or the
+relay's private key.
 """
 
 import copy
@@ -156,11 +157,12 @@ def test_a_deferred_entry_matches_its_eager_twin(backend_name):
     assert deferred() == eager and eager == deferred()
     assert hash(deferred()) == hash(eager)
     assert repr(deferred()) == repr(eager)
-    assert relayed(deferred()).summary() == relayed(eager).summary()
 
     msg, twin = relayed(deferred()), relayed(eager)
+    assert msg.summary() == twin.summary()
+    assert repr(msg) == repr(twin)
     assert msg.wire_size() == twin.wire_size() == len(encode_message(twin))
-    assert unsigned(msg.srr[-1])  # sized, not signed
+    assert unsigned(msg.srr[-1])  # sized and formatted, not signed
     assert encode_message(msg) == encode_message(twin)
     assert decode_message(encode_message(msg)) == twin
 
@@ -200,10 +202,11 @@ def test_no_public_attribute_or_repr_of_an_entry_exposes_the_signer():
     public = sorted(name for name in dir(entry) if not name.startswith("_"))
     assert public == ["decode", "deferred", "encode", "ip", "public_key", "rn",
                       "signature", "wire_size"]
-    text = repr(entry)  # the first read: signs
+    text = repr(entry)
     assert "PrivateKey" not in text and "partial" not in text
+    assert unsigned(entry)  # formatting is no read
+    values = [getattr(entry, name) for name in public]  # reads: signs
     assert not unsigned(entry)
-    values = [getattr(entry, name) for name in public]
     assert not any(isinstance(v, PrivateKey) for v in values)
     assert not any(isinstance(v, functools.partial) for v in values)
 
