@@ -9,8 +9,8 @@ first-class artifact:
   knobs, replicate counts, workloads, adversary mixes, batch size);
 * :class:`~repro.campaign.runner.CampaignRunner` (and the
   :func:`~repro.campaign.runner.run_campaign` wrapper) executes the
-  expanded run matrix through a pluggable executor backend (the default
-  ``"local"`` multiprocessing pool, or ``"inline"``) -- batching runs
+  expanded run matrix on an executor (the default ``"local"``
+  multiprocessing pool, or ``"inline"``) -- batching runs
   per worker task to amortise dispatch overhead, streaming completed
   records to ``results.jsonl`` as they arrive, and resuming an
   interrupted campaign from that checkpoint -- with per-run
@@ -63,12 +63,10 @@ from repro.campaign.merge import (
     validate_merge_conflicts_file,
 )
 from repro.campaign.runner import (
-    EXECUTOR_REGISTRY,
     CampaignRunner,
     InlineExecutor,
     LocalExecutor,
     auto_batch_size,
-    create_executor,
     execute_batch,
     execute_run,
     run_campaign,
@@ -81,7 +79,6 @@ __all__ = [
     "CampaignSpec",
     "Checkpoint",
     "CheckpointError",
-    "EXECUTOR_REGISTRY",
     "InlineExecutor",
     "LocalExecutor",
     "MergeError",
@@ -91,7 +88,6 @@ __all__ = [
     "auto_batch_size",
     "compare",
     "comparison_text",
-    "create_executor",
     "discover_shard_dirs",
     "execute_batch",
     "execute_run",

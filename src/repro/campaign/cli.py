@@ -28,9 +28,6 @@ report   Re-render the aggregate table from a results file/directory.
          resume, no full-file re-reads) until all expected runs land,
          then prints the final aggregate -- byte-identical to a
          post-hoc report.
-trends   Render cross-campaign history (``BENCH_*.json`` scorecards +
-         past ``report.json`` aggregates) as a sparkline dashboard;
-         ``--html FILE`` additionally writes a static HTML export.
 compare  Diff two results files; exit 1 when regressions are found.
 explain  Replay one run of a finished campaign directory (by run id or
          index) with the trace recorder on, check that the replayed
@@ -61,9 +58,10 @@ from repro.campaign.baseline import compare, comparison_text
 from repro.campaign.checkpoint import Checkpoint
 from repro.campaign.merge import discover_shard_dirs, merge_shards
 from repro.campaign.runner import (
-    EXECUTOR_REGISTRY,
     CampaignInterrupted,
     CampaignRunner,
+    InlineExecutor,
+    LocalExecutor,
     execute_run,
 )
 from repro.campaign.shard import parse_shard
@@ -215,22 +213,6 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _cmd_trends(args) -> int:
-    from repro.obs.trends import trends_html, trends_text
-
-    paths = args.paths or ["benchmarks", "campaigns"]
-    paths = [p for p in paths if os.path.exists(p)]
-    if not paths:
-        print("error: none of the trend source paths exist", file=sys.stderr)
-        return 2
-    print(trends_text(paths))
-    if args.html:
-        with open(args.html, "w", encoding="utf-8") as fh:
-            fh.write(trends_html(paths))
-        print(f"wrote {args.html}", file=sys.stderr)
-    return 0
-
-
 def _cmd_compare(args) -> int:
     result = compare(
         load_results(args.baseline), load_results(args.current),
@@ -335,8 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="execute only shard i of an N-way split of the "
                             "run matrix (checkpoint goes to "
                             "<out>/shard-i-of-N/; fuse with 'merge')")
-        p.add_argument("--executor", choices=sorted(EXECUTOR_REGISTRY),
-                       default="local",
+        p.add_argument("--executor", default=LocalExecutor.name,
+                       choices=sorted((InlineExecutor.name,
+                                       LocalExecutor.name)),
                        help="execution backend (default local: a "
                             "multiprocessing pool on this host)")
         p.add_argument("--out", default=None,
@@ -404,17 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="poll interval for --follow (seconds, "
                                "default 0.5)")
     p_report.set_defaults(func=_cmd_report)
-
-    p_trends = sub.add_parser(
-        "trends",
-        help="sparkline dashboard of cross-campaign history "
-             "(BENCH_*.json + report.json files)")
-    p_trends.add_argument("paths", nargs="*",
-                          help="files/directories to scan "
-                               "(default: benchmarks campaigns)")
-    p_trends.add_argument("--html", default=None, metavar="FILE",
-                          help="also write a static HTML export")
-    p_trends.set_defaults(func=_cmd_trends)
 
     p_cmp = sub.add_parser("compare", help="diff two results files")
     p_cmp.add_argument("baseline")

@@ -19,14 +19,12 @@ byte-identical to an uninterrupted campaign.  Which records the
 directory holds -- validated, written and finalized -- is decided by
 its :class:`~repro.campaign.checkpoint.Checkpoint`.
 
-*Where* batches execute is pluggable: the runner dispatches through an
-executor backend (:data:`EXECUTOR_REGISTRY` -- the multiprocessing
-pool is the ``"local"`` backend, ``"inline"`` runs everything in the
-coordinating process) and, with a shard assignment
-(``campaign run --shard i/N``), executes only its slice of the matrix
-into a crash-safe ``shard-i-of-N/`` checkpoint that ``campaign merge``
-(:mod:`repro.campaign.merge`) later fuses -- so a campaign survives
-not just a dead worker but a dead host.
+Batches execute in a multiprocessing pool (the ``"local"`` executor)
+or in the coordinating process (``"inline"``).  With a shard
+assignment (``campaign run --shard i/N``) the runner executes only its
+slice of the matrix into a crash-safe ``shard-i-of-N/`` checkpoint that
+``campaign merge`` (:mod:`repro.campaign.merge`) later fuses -- so a
+campaign survives not just a dead worker but a dead host.
 
 Isolation guarantees:
 
@@ -67,35 +65,13 @@ from contextlib import contextmanager
 from repro.campaign.checkpoint import Checkpoint
 from repro.campaign.shard import shard_dir_name
 from repro.campaign.spec import CampaignSpec
-from repro.ipv6.address import IPv6Address
 from repro.obs.telemetry import TelemetryTracker, check_fields, validate_jsonl
 from repro.scenarios import (
-    CBRTraffic,
-    PoissonTraffic,
-    RequestResponse,
     ScenarioBuilder,
-    add_blackhole,
-    add_dns_impersonator,
-    add_forger,
-    add_identity_churner,
-    add_replayer,
-    add_rerr_spammer,
+    add_adversary,
+    bootstrap_keywords,
+    start_flows,
 )
-from repro.sim.rng import SimRNG
-
-#: Adversary kinds wireable from a campaign spec entry
-#: ``{"kind": ..., "position": [x, y], ...kwargs}``.
-ADVERSARY_REGISTRY = {
-    "blackhole": add_blackhole,
-    "rerr_spammer": add_rerr_spammer,
-    "forger": add_forger,
-    "replayer": add_replayer,
-    "dns_impersonator": add_dns_impersonator,
-    "identity_churner": add_identity_churner,
-}
-
-#: Adversary kwargs holding IPv6 addresses (serialized as strings).
-_ADDRESS_KWARGS = {"fake_answer", "spoof_hop_ip"}
 
 
 class RunTimeout(Exception):
@@ -169,101 +145,16 @@ def deadline(seconds: float | None):
             )
 
 
-def _add_adversary(scenario, spec: dict) -> None:
-    spec = dict(spec)
-    kind = spec.pop("kind", None)
-    if kind not in ADVERSARY_REGISTRY:
-        raise ValueError(
-            f"unknown adversary kind {kind!r} "
-            f"(expected one of {sorted(ADVERSARY_REGISTRY)})"
-        )
-    position = tuple(spec.pop("position"))
-    for key in _ADDRESS_KWARGS & set(spec):
-        spec[key] = IPv6Address(spec[key])
-    ADVERSARY_REGISTRY[kind](scenario, position, **spec)
-
-
-def _workload_pairs(hosts: list, workload: dict, seed: int) -> list:
-    """Pick (src, dst) node pairs: explicit indices or seeded sampling."""
-    if "pairs" in workload:
-        return [(hosts[i], hosts[j]) for i, j in workload["pairs"]]
-    configured = [h for h in hosts if h.configured]
-    if len(configured) < 2:
-        return []
-    rng = SimRNG(seed, "campaign/workload")
-    pairs = []
-    for _ in range(int(workload.get("flows", 1))):
-        src = rng.choice(configured)
-        dst = rng.choice(configured)
-        while dst is src:
-            dst = rng.choice(configured)
-        pairs.append((src, dst))
-    return pairs
-
-
-#: Accepted workload keys (union over kinds); a typo'd campaign axis such
-#: as "workload.intervall" must error, not silently fall back to defaults.
-_WORKLOAD_KEYS = {"kind", "flows", "pairs", "interval", "rate", "count",
-                  "payload_size"}
-_BOOTSTRAP_KEYS = {"stagger"}
-
-
-def _start_workload(scenario, hosts: list, workload: dict, seed: int) -> list:
-    unknown = set(workload) - _WORKLOAD_KEYS
-    if unknown:
-        raise ValueError(
-            f"unknown workload keys: {sorted(unknown)} "
-            f"(allowed: {sorted(_WORKLOAD_KEYS)})"
-        )
-    kind = workload.get("kind", "cbr")
-    pairs = [(s, d) for s, d in _workload_pairs(hosts, workload, seed)
-             if s.configured and d.configured]
-    flows = []
-    for src, dst in pairs:
-        if kind == "cbr":
-            flows.append(CBRTraffic(
-                src, dst.ip,
-                interval=float(workload.get("interval", 1.0)),
-                count=int(workload.get("count", 10)),
-                payload_size=int(workload.get("payload_size", 64)),
-            ))
-        elif kind == "poisson":
-            flows.append(PoissonTraffic(
-                src, dst.ip,
-                rate=float(workload.get("rate", 1.0)),
-                count=int(workload.get("count", 10)),
-                payload_size=int(workload.get("payload_size", 64)),
-            ))
-        elif kind == "request_response":
-            flows.append(RequestResponse(
-                src, dst.ip,
-                count=int(workload.get("count", 5)),
-                interval=float(workload.get("interval", 2.0)),
-                payload_size=int(workload.get("payload_size", 128)),
-            ))
-        else:
-            raise ValueError(f"unknown workload kind {kind!r}")
-    return flows
-
-
 def _run_body(run: dict, on_build=None) -> dict:
     scenario = ScenarioBuilder.from_spec(run["scenario"]).build()
     if on_build is not None:
         on_build(scenario)
+    # flows run among the hosts that existed before adversaries joined
     honest = list(scenario.hosts)
     for adversary in run.get("adversaries", []):
-        _add_adversary(scenario, adversary)
-
-    bootstrap = run.get("bootstrap", {})
-    unknown = set(bootstrap) - _BOOTSTRAP_KEYS
-    if unknown:
-        raise ValueError(
-            f"unknown bootstrap keys: {sorted(unknown)} "
-            f"(allowed: {sorted(_BOOTSTRAP_KEYS)})"
-        )
-    scenario.bootstrap_all(stagger=float(bootstrap.get("stagger", 0.25)))
-
-    _start_workload(scenario, honest, run.get("workload", {}), run["seed"])
+        add_adversary(scenario, adversary)
+    scenario.bootstrap_all(**bootstrap_keywords(run.get("bootstrap", {})))
+    start_flows(honest, run.get("workload", {}), run["seed"])
     scenario.run(duration=float(run.get("duration", 30.0)))
 
     summary = scenario.metrics.summary()
@@ -362,31 +253,8 @@ def auto_batch_size(n_runs: int, workers: int) -> int:
                       math.ceil(n_runs / (workers * _OVERSUBSCRIPTION))))
 
 
-# -- pluggable executors -------------------------------------------------
-#
-# The runner's dispatch loop is generic; *where* a batch executes is an
-# Executor's business.  The protocol is deliberately small so new
-# backends (a remote job queue, a CI matrix fan-out) can slot in without
-# touching the retry/quarantine/telemetry/checkpoint machinery:
-#
-#   run_batches(chunks, task, on_outcome, should_stop) -> in_flight
-#       Execute ``task(chunk)`` for every chunk, calling
-#       ``on_outcome(chunk, value, error)`` as each completes (in
-#       completion order; ``error`` is the worker-death exception when
-#       the backend lost the process running the chunk).  Poll
-#       ``should_stop()`` between completions and return the chunks
-#       *dispatched but never handed* to ``on_outcome`` -- runs that
-#       may have half-executed somewhere -- so a graceful shutdown can
-#       name its abandoned work.  Chunks never dispatched at all are
-#       not in flight (the resume checkpoint recomputes them as
-#       pending); a serial backend therefore returns an empty list.
-#
-#   run_single(payload) -> record
-#       Execute one run in the strongest isolation the backend has
-#       (the orphan-retry path); raises if the backend loses it again.
-#
-# Executors must call ``task``/``execute_run`` late-bound through this
-# module's globals -- the robustness tests monkeypatch them.
+# Executors call ``task``/``execute_run`` late-bound through this
+# module's globals: the robustness tests monkeypatch them.
 
 class InlineExecutor:
     """Serial in-process backend: batches run in the coordinating process.
@@ -398,10 +266,14 @@ class InlineExecutor:
 
     name = "inline"
 
-    def __init__(self, workers: int = 1):
-        self.workers = 1
-
     def run_batches(self, chunks, task, on_outcome, should_stop):
+        """Run ``task(chunk)`` for each chunk, landing each through
+        ``on_outcome(chunk, value, None)``, until ``should_stop()``.
+
+        Returns the chunks dispatched but never landed -- none here,
+        as a chunk never started is not in flight (the resume
+        checkpoint recomputes it as pending).
+        """
         for chunk in chunks:
             if should_stop():
                 # nothing is in flight: the current batch completed and
@@ -431,6 +303,10 @@ class LocalExecutor:
         self.context = context or multiprocessing.get_context()
 
     def run_batches(self, chunks, task, on_outcome, should_stop):
+        """Like :meth:`InlineExecutor.run_batches`, in completion order;
+        a lost chunk lands as ``on_outcome(chunk, None, death)``.  The
+        chunks still running when ``should_stop()`` turns true are
+        returned, so a graceful shutdown can name its abandoned work."""
         pool = concurrent.futures.ProcessPoolExecutor(
             max_workers=min(self.workers, len(chunks)),
             mp_context=self.context,
@@ -461,51 +337,20 @@ class LocalExecutor:
         return [futures[future] for future in not_done]
 
     def run_single(self, payload: dict) -> dict:
+        """Execute one run alone in a fresh one-worker pool (the
+        orphan-retry path); raises if that worker dies too."""
         with concurrent.futures.ProcessPoolExecutor(
             max_workers=1, mp_context=self.context
         ) as retry_pool:
             return retry_pool.submit(execute_run, payload).result()
 
 
-#: Executor backends selectable via ``CampaignRunner(executor=...)`` /
-#: ``campaign run --executor``.  ``"local"`` degrades to the inline
-#: backend at ``workers <= 1`` (same results either way -- the
-#: determinism contract makes backends interchangeable).
-EXECUTOR_REGISTRY = {
-    "local": LocalExecutor,
-    "inline": InlineExecutor,
-}
-
-
-def create_executor(name: str, workers: int):
-    """Instantiate a registered executor backend by name."""
-    if name not in EXECUTOR_REGISTRY:
-        raise ValueError(
-            f"unknown executor {name!r} "
-            f"(expected one of {sorted(EXECUTOR_REGISTRY)})"
-        )
-    if name == "local" and int(workers) <= 1:
-        return InlineExecutor()
-    return EXECUTOR_REGISTRY[name](workers)
-
-
-def _worker_death_record(payload: dict, exc: Exception) -> dict:
-    return {
-        "run_id": payload["run_id"],
-        "index": payload["index"],
-        "replicate": payload["replicate"],
-        "seed": payload["seed"],
-        "params": payload["params"],
-        "status": "error",
-        "error": f"worker died: {type(exc).__name__}: {exc}",
-    }
-
-
 def _quarantine_record(payload: dict, exc: Exception, attempts: int) -> dict:
     """Results record for a run that exhausted its worker-death retries."""
-    record = _worker_death_record(payload, exc)
-    record["status"] = "quarantined"
-    record["attempts"] = int(attempts)
+    record = {key: payload[key]
+              for key in ("run_id", "index", "replicate", "seed", "params")}
+    record.update(status="quarantined", attempts=int(attempts),
+                  error=f"worker died: {type(exc).__name__}: {exc}")
     return record
 
 
@@ -579,12 +424,16 @@ class CampaignRunner:
         if batch_size is not None and int(batch_size) < 1:
             raise ValueError("batch_size must be >= 1")
         self.batch_size = None if batch_size is None else int(batch_size)
-        if executor not in EXECUTOR_REGISTRY:
+        names = sorted((InlineExecutor.name, LocalExecutor.name))
+        if executor not in names:
             raise ValueError(
-                f"unknown executor {executor!r} "
-                f"(expected one of {sorted(EXECUTOR_REGISTRY)})"
+                f"unknown executor {executor!r} (expected one of {names})"
             )
-        self.executor_name = executor
+        #: Where batches execute.  ``"local"`` runs inline at one worker:
+        #: the determinism contract makes the two interchangeable.
+        self.executor = (LocalExecutor(self.workers)
+                         if executor == LocalExecutor.name and self.workers > 1
+                         else InlineExecutor())
         self.out_dir = None if out_dir is None else os.fspath(out_dir)
         #: ``(shard_index, shard_count)`` when the spec declares a shard
         #: assignment.  The shard's checkpoint lives in its own
@@ -708,8 +557,7 @@ class CampaignRunner:
             if pending:
                 chunks = [pending[i:i + batch]
                           for i in range(0, len(pending), batch)]
-                executor = create_executor(self.executor_name, self.workers)
-                self._dispatch(chunks, checkpoint, executor)
+                self._dispatch(chunks, checkpoint, self.executor)
             if self._stop_signal is not None:
                 if self._telemetry is not None:
                     self._telemetry.abandoned(
@@ -750,9 +598,17 @@ class CampaignRunner:
             )
         self._stop_signal = signum
 
-    def _batch_telemetry(self, outcome: dict, retried: bool = False) -> None:
-        """Emit one ``batch`` telemetry record for a completed outcome."""
+    def _land(self, outcome: dict, checkpoint: Checkpoint, suffix: str = "",
+              retried: bool = False) -> None:
+        """Ingest a completed outcome and emit its ``batch`` telemetry.
+
+        ``outcome`` is what :func:`_timed_execute_batch` returns: the
+        batch's records, its wall time and the pid that ran it.
+        """
         batch_records = outcome["records"]
+        self._ingest(batch_records, checkpoint, suffix)
+        if self._telemetry is None:
+            return
         ok = sum(1 for r in batch_records if r["status"] == "ok")
         # Crypto and fault-injection load of the batch, from the ok
         # runs' frozen summaries (deterministic per-run data, surfaced
@@ -798,9 +654,7 @@ class CampaignRunner:
             if error is not None:
                 orphaned.extend((p, error) for p in chunk)
                 return
-            self._ingest(outcome["records"], checkpoint)
-            if self._telemetry is not None:
-                self._batch_telemetry(outcome)
+            self._land(outcome, checkpoint)
 
         unfinished = executor.run_batches(
             chunks, _timed_execute_batch, on_outcome,
@@ -844,40 +698,26 @@ class CampaignRunner:
             except Exception as exc:
                 last_exc = exc
                 continue
-            self._ingest([record], checkpoint, suffix=f" (retry {retry})")
-            if self._telemetry is not None:
-                # the retry pool's worker pid is gone with the pool;
-                # report the coordinating process instead
-                self._batch_telemetry({
-                    "records": [record],
+            suffix = f" (retry {retry})"
+            break
+        else:
+            record = _quarantine_record(payload, last_exc,
+                                        self.spec.retry_max_attempts)
+            self._quarantine(record)
+            suffix = " (quarantined)"
+        # the retry pool's worker pid is gone with the pool; report the
+        # coordinating process instead
+        self._land({"records": [record],
                     "wall_s": time.perf_counter() - retry_started,
-                    "worker_pid": os.getpid(),
-                }, retried=True)
-            return
-        record = _quarantine_record(payload, last_exc,
-                                    self.spec.retry_max_attempts)
-        self._quarantine(record)
-        self._ingest([record], checkpoint, suffix=" (quarantined)")
-        if self._telemetry is not None:
-            self._batch_telemetry({
-                "records": [record],
-                "wall_s": time.perf_counter() - retry_started,
-                "worker_pid": os.getpid(),
-            }, retried=True)
+                    "worker_pid": os.getpid()},
+                   checkpoint, suffix, retried=True)
 
     def _quarantine(self, record: dict) -> None:
         """Append an fsync'd diagnostic line to ``quarantine.jsonl``."""
         if self.out_dir is None:
             return
         path = os.path.join(self.out_dir, "quarantine.jsonl")
-        entry = {
-            "run_id": record["run_id"],
-            "index": record["index"],
-            "seed": record["seed"],
-            "params": record["params"],
-            "attempts": record["attempts"],
-            "error": record["error"],
-        }
+        entry = {key: record[key] for key in _QUARANTINE_FIELDS}
         with open(path, "a", encoding="utf-8") as fh:
             fh.write(json.dumps(entry, sort_keys=True) + "\n")
             fh.flush()

@@ -10,8 +10,10 @@ concrete, fully-resolved list of :class:`RunSpec` the runner executes.
 Axis paths are dotted keys.  A path whose first segment is one of
 ``workload``, ``adversaries``, ``bootstrap`` or ``duration`` overrides
 the run-level field; every other path indexes into the scenario spec,
-and must start with a scenario spec key (a typo is refused when the
-spec is loaded)::
+and must start with a scenario spec key.  The run-level entries speak
+:mod:`repro.scenarios`' run vocabulary, and the spec is checked against
+it when loaded: a typo'd key or kind in a base entry, or in any axis or
+sample value that overrides one, is refused before anything runs::
 
     "topology.n":         [9, 16, 25]          # scenario knob
     "router":             ["secure", "plain"]  # scenario knob
@@ -31,21 +33,19 @@ import itertools
 import json
 from dataclasses import dataclass, field
 
-from repro.scenarios.builder import SCENARIO_SPEC_KEYS
+from repro.scenarios import bootstrap_keywords, check_adversaries, check_workload
+from repro.scenarios.builder import DEFAULT_BOOTSTRAP, SCENARIO_SPEC_KEYS
+from repro.scenarios.workloads import DEFAULT_WORKLOAD
 from repro.sim.rng import SimRNG, check_seed, spawn_seed
 
-#: Top-level axis segments that target the run rather than the scenario.
-_RUN_LEVEL_SEGMENTS = {"workload", "adversaries", "bootstrap", "duration"}
-
-_DEFAULT_WORKLOAD = {
-    "kind": "cbr",
-    "flows": 1,
-    "interval": 1.0,
-    "count": 10,
-    "payload_size": 64,
+#: Top-level path segments that target the run rather than the scenario,
+#: each with the check a value of it passes when the spec is loaded.
+_RUN_LEVEL = {
+    "workload": check_workload,
+    "adversaries": check_adversaries,
+    "bootstrap": bootstrap_keywords,
+    "duration": float,
 }
-
-_DEFAULT_BOOTSTRAP = {"stagger": 0.25}
 
 _KNOWN_KEYS = {
     "name", "seed", "replicates", "base", "axes", "samples",
@@ -104,7 +104,7 @@ def _check_scenario_paths(base: dict, paths) -> None:
             f"unknown scenario spec keys in base: {sorted(unknown)} "
             f"(allowed: {sorted(SCENARIO_SPEC_KEYS)})"
         )
-    allowed = SCENARIO_SPEC_KEYS | _RUN_LEVEL_SEGMENTS
+    allowed = SCENARIO_SPEC_KEYS | set(_RUN_LEVEL)
     for path in paths:
         head = path.split(".", 1)[0]
         if head not in allowed:
@@ -112,6 +112,35 @@ def _check_scenario_paths(base: dict, paths) -> None:
                 f"path {path!r}: unknown key {head!r} "
                 f"(a path starts with one of {sorted(allowed)})"
             )
+
+
+def _check_run_level(spec: "CampaignSpec") -> None:
+    """Refuse a run-level entry that every run using it would fail on.
+
+    Checks each base entry, then once each axis value and sample choice
+    or bound under a run-level segment, set into a copy of the base entry
+    as :meth:`CampaignSpec.expand` sets it; the error names the path.
+    """
+    base = {"workload": spec.workload, "adversaries": spec.adversaries,
+            "bootstrap": spec.bootstrap, "duration": spec.duration}
+    for head, check in _RUN_LEVEL.items():
+        check(base[head])
+    space = spec.samples.get("space", {})
+    swept = [*spec.axes.items(),
+             *((path, domain.get("choices") if isinstance(domain, dict)
+                else domain) for path, domain in space.items())]
+    for path, values in swept:
+        head = path.split(".", 1)[0]
+        if head not in _RUN_LEVEL or not isinstance(values, list):
+            continue
+        for value in values:
+            target = {head: _copy_json(base[head])}
+            try:
+                set_by_path(target, path, value)
+                _RUN_LEVEL[head](target[head])
+            except (AttributeError, TypeError, ValueError) as exc:
+                # a value of the wrong shape fails like a wrong key
+                raise ValueError(f"path {path!r}: {exc}") from None
 
 
 def set_by_path(target: dict, path: str, value) -> None:
@@ -168,9 +197,9 @@ class CampaignSpec:
     axes: dict = field(default_factory=dict)
     #: Random sampling: ``{"count": N, "space": {path: [lo, hi] | {"choices": [...]}}}``.
     samples: dict = field(default_factory=dict)
-    workload: dict = field(default_factory=lambda: dict(_DEFAULT_WORKLOAD))
+    workload: dict = field(default_factory=lambda: dict(DEFAULT_WORKLOAD))
     adversaries: list = field(default_factory=list)
-    bootstrap: dict = field(default_factory=lambda: dict(_DEFAULT_BOOTSTRAP))
+    bootstrap: dict = field(default_factory=lambda: dict(DEFAULT_BOOTSTRAP))
     duration: float = 30.0
     #: Per-run wall-clock budget (seconds); exceeded runs report "timeout".
     timeout: float = 120.0
@@ -208,7 +237,7 @@ class CampaignSpec:
         check_summary_mode(data.get("summary_mode", "exact"))
         if "base" not in data:
             raise ValueError("campaign spec requires a 'base' scenario")
-        for key in ("base", "axes", "samples"):
+        for key in ("base", "axes", "samples", "workload", "bootstrap"):
             if not isinstance(data.get(key, {}), dict):
                 raise ValueError(f"campaign spec {key!r} must be an object")
         if not isinstance(data.get("samples", {}).get("space", {}), dict):
@@ -220,9 +249,9 @@ class CampaignSpec:
             base=_copy_json(data["base"]),
             axes=_copy_json(data.get("axes", {})),
             samples=_copy_json(data.get("samples", {})),
-            workload={**_DEFAULT_WORKLOAD, **data.get("workload", {})},
+            workload={**DEFAULT_WORKLOAD, **data.get("workload", {})},
             adversaries=_copy_json(data.get("adversaries", [])),
-            bootstrap={**_DEFAULT_BOOTSTRAP, **data.get("bootstrap", {})},
+            bootstrap={**DEFAULT_BOOTSTRAP, **data.get("bootstrap", {})},
             duration=float(data.get("duration", 30.0)),
             timeout=float(data.get("timeout", 120.0)),
             batch_size=(int(data["batch_size"])
@@ -260,6 +289,7 @@ class CampaignSpec:
         _check_scenario_paths(
             spec.base, [*spec.axes, *spec.samples.get("space", {})]
         )
+        _check_run_level(spec)
         return spec
 
     @classmethod
@@ -353,7 +383,7 @@ class CampaignSpec:
                 }
                 for path, value in params.items():
                     head = path.split(".", 1)[0]
-                    target = run_level if head in _RUN_LEVEL_SEGMENTS else scenario
+                    target = run_level if head in _RUN_LEVEL else scenario
                     set_by_path(target, path, _copy_json(value))
                 scenario["seed"] = seed
                 runs.append(RunSpec(

@@ -9,6 +9,7 @@ protocol code (ablation P3 in DESIGN.md).
 
 from __future__ import annotations
 
+import re
 from abc import ABC, abstractmethod
 
 from repro.crypto.keys import KeyPair, PrivateKey, PublicKey
@@ -128,20 +129,40 @@ def register_backend(backend: CryptoBackend) -> None:
     _REGISTRY[backend.name] = backend
 
 
+def _builtin_backend(name: str) -> CryptoBackend | None:
+    """A fresh instance of the built-in backend called ``name``, else None.
+
+    The built-ins are ``simsig``, ``rsa`` (512-bit) and ``rsa<bits>``
+    for any other size :class:`~repro.crypto.rsa.RSABackend` takes.  A
+    name is accepted only if the backend it builds carries that same
+    name, so a size has one name (``rsa0512`` and ``rsa512`` are
+    refused): the codec reads names off the wire and decodes
+    canonically.  Lazy imports avoid a circular dependency at package
+    import time.
+    """
+    if name == "simsig":
+        from repro.crypto.simsig import SimSigBackend
+
+        return SimSigBackend()
+    # at most 7 digits, so int() never meets a string past its limit
+    if name == "rsa" or re.fullmatch(r"rsa[0-9]{3,7}", name):
+        from repro.crypto.rsa import RSABackend
+
+        bits = int(name[3:] or 512)
+        if bits >= 128 and bits % 2 == 0:
+            backend = RSABackend(bits)
+            if backend.name == name:
+                return backend
+    return None
+
+
 def get_backend(name: str) -> CryptoBackend:
     """Look up a registered backend; lazily creates the built-in ones."""
     if name not in _REGISTRY:
-        # Lazy import avoids a circular dependency at package import time.
-        if name == "rsa":
-            from repro.crypto.rsa import RSABackend
-
-            register_backend(RSABackend())
-        elif name == "simsig":
-            from repro.crypto.simsig import SimSigBackend
-
-            register_backend(SimSigBackend())
-        else:
+        backend = _builtin_backend(name)
+        if backend is None:
             raise KeyError(f"unknown crypto backend {name!r}")
+        register_backend(backend)
     return _REGISTRY[name]
 
 
@@ -158,14 +179,9 @@ def create_backend(name: str) -> CryptoBackend:
     no known constructor, so they fall back to the registry instance and
     manage their own state.
     """
-    if name == "rsa":
-        from repro.crypto.rsa import RSABackend
-
-        return RSABackend()
-    if name == "simsig":
-        from repro.crypto.simsig import SimSigBackend
-
-        return SimSigBackend()
+    backend = _builtin_backend(name)
+    if backend is not None:
+        return backend
     if name in _REGISTRY:
         return _REGISTRY[name]
     raise KeyError(f"unknown crypto backend {name!r}")

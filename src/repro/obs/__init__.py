@@ -15,9 +15,7 @@ when none of it is enabled:
   its v3 schema validator, and the one field checker every campaign
   sidecar schema uses;
 * :mod:`~repro.obs.follow` -- incremental tailing of an in-flight
-  ``results.jsonl`` for ``campaign report --follow``;
-* :mod:`~repro.obs.trends` -- cross-campaign history rendered as
-  terminal sparklines (optionally HTML).
+  ``results.jsonl`` for ``campaign report --follow``.
 """
 
 from repro.obs.kernel_stats import KernelStats, handler_kind

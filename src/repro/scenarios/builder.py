@@ -14,6 +14,7 @@ formation, so it does not itself run DAD.
 from __future__ import annotations
 
 import copy
+import inspect
 import math
 
 import numpy as np
@@ -83,16 +84,9 @@ SCENARIO_SPEC_KEYS = frozenset({
     "routers_by_name", "dns", "preregister", "mobility", "faults",
 })
 
-#: Allowed keys per topology kind; a typo'd key in a spec (e.g. a campaign
-#: axis path) must fail loudly, not silently sweep nothing.
-_TOPOLOGY_KEYS: dict[str, set[str]] = {
-    "chain": {"n", "spacing"},
-    "grid": {"n", "spacing"},
-    "uniform": {"n", "area", "require_connected"},
-    "uniform_density": {"n", "density", "require_connected"},
-    "clustered": {"n", "clusters", "area", "cluster_std"},
-    "positions": {"points"},
-}
+#: Keywords of :meth:`Scenario.bootstrap_all` a campaign run's
+#: ``bootstrap`` entry may set.
+BOOTSTRAP_KEYS = frozenset({"stagger"})
 
 
 def _check_keys(what: str, mapping: dict, allowed: set[str]) -> None:
@@ -311,9 +305,9 @@ class ScenarioBuilder:
         }
         return self
 
-    def positions(self, pts) -> "ScenarioBuilder":
+    def positions(self, points) -> "ScenarioBuilder":
         """Explicit (n, 2) placement."""
-        points = np.asarray(pts, dtype=float)
+        points = np.asarray(points, dtype=float)
         self._topology = {"kind": "positions", "points": points.tolist()}
         return self
 
@@ -462,35 +456,13 @@ class ScenarioBuilder:
         if spec.get("config"):
             builder.config(**spec["config"])
 
+        # a topology entry is the keywords of the fluent method it names
         topo = dict(spec["topology"])
         kind = topo.pop("kind", None)
-        _check_keys(
-            f"topology[{kind}]", topo,
-            _TOPOLOGY_KEYS.get(kind, set(topo)),
-        )
-        if kind == "chain":
-            builder.chain(topo["n"], spacing=topo.get("spacing", 200.0))
-        elif kind == "grid":
-            builder.grid(topo["n"], spacing=topo.get("spacing", 180.0))
-        elif kind == "uniform":
-            builder.uniform(
-                topo["n"], tuple(topo["area"]),
-                require_connected=topo.get("require_connected", True),
-            )
-        elif kind == "uniform_density":
-            builder.uniform_density(
-                topo["n"], density=topo.get("density", 10.0),
-                require_connected=topo.get("require_connected", False),
-            )
-        elif kind == "clustered":
-            builder.clustered(
-                topo["n"], topo["clusters"], tuple(topo["area"]),
-                cluster_std=topo.get("cluster_std", 60.0),
-            )
-        elif kind == "positions":
-            builder.positions(topo["points"])
-        else:
+        if kind not in _TOPOLOGY_KEYS:
             raise ValueError(f"unknown topology kind {kind!r}")
+        _check_keys(f"topology[{kind}]", topo, _TOPOLOGY_KEYS[kind])
+        getattr(builder, kind)(**topo)
 
         builder.router(router_class(spec.get("router", "secure")))
         for node_name, rname in spec.get("routers_by_name", {}).items():
@@ -560,7 +532,8 @@ class ScenarioBuilder:
         dns_node = None
         if self._with_dns:
             dns_pos = self._dns_position or tuple(positions.mean(axis=0))
-            dns_node = self._make_node(ctx, "dns", dns_pos, SecureDSRRouter)
+            dns_node = make_node(ctx, "dns", dns_pos, SecureDSRRouter,
+                                 self._config)
             # Server identity exists before network formation (paper
             # assumption): adopt a CGA immediately, no DAD.
             ip, params = generate_cga(dns_node.public_key, dns_node.rng("self-cga"))
@@ -575,7 +548,8 @@ class ScenarioBuilder:
         for i, pos in enumerate(positions):
             name = f"n{i}"
             router_cls = self._router_cls_by_name.get(name, self._router_cls)
-            hosts.append(self._make_node(ctx, name, tuple(pos), router_cls))
+            hosts.append(make_node(ctx, name, tuple(pos), router_cls,
+                                   self._config))
 
         if self._mobility and self._mobility["kind"] == "rwp":
             mob = RandomWaypoint(
@@ -594,9 +568,39 @@ class ScenarioBuilder:
             ctx.metrics.attach_fault_stats(scenario.faults.stats)
         return scenario
 
-    def _make_node(self, ctx, name, position, router_cls) -> Node:
-        node = Node(ctx, name, position, config=self._config)
-        node.attach_component("bootstrap", BootstrapManager(node))
-        node.attach_component("router", router_cls(node))
-        node.attach_component("dns_client", DNSClient(node))
-        return node
+
+#: Allowed keys per topology kind: the keywords of its fluent method, so
+#: a typo'd key in a spec (e.g. a campaign axis path) fails loudly.
+_TOPOLOGY_KEYS = {
+    kind: set(inspect.signature(getattr(ScenarioBuilder, kind)).parameters)
+    - {"self"}
+    for kind in ("chain", "grid", "uniform", "uniform_density", "clustered",
+                 "positions")
+}
+
+
+def make_node(ctx, name, position, router, config: NodeConfig) -> Node:
+    """A host wired as every scenario host is: bootstrap, ``router(node)``
+    as its router, and a DNS client.  ``router`` is a router class or
+    any callable that builds one for the node."""
+    node = Node(ctx, name, position, config=config)
+    node.attach_component("bootstrap", BootstrapManager(node))
+    node.attach_component("router", router(node))
+    node.attach_component("dns_client", DNSClient(node))
+    return node
+
+
+def bootstrap_keywords(bootstrap: dict) -> dict:
+    """The :meth:`Scenario.bootstrap_all` keywords of a run's
+    ``bootstrap`` entry; refuses a key not in :data:`BOOTSTRAP_KEYS`.
+    A key the entry leaves out keeps ``bootstrap_all``'s default."""
+    _check_keys("bootstrap", bootstrap, BOOTSTRAP_KEYS)
+    return {key: float(value) for key, value in bootstrap.items()}
+
+
+#: The ``bootstrap`` entry of a campaign run that names none:
+#: ``bootstrap_all``'s own defaults.
+DEFAULT_BOOTSTRAP = {
+    key: inspect.signature(Scenario.bootstrap_all).parameters[key].default
+    for key in sorted(BOOTSTRAP_KEYS)
+}

@@ -11,12 +11,21 @@ Three generators cover the experiments' needs:
 
 All report through the scenario's MetricsCollector automatically
 (delivery accounting lives in the routing layer).
+
+A campaign run names its traffic with a ``workload`` entry:
+:data:`TRAFFIC` maps its ``kind`` to a generator, and
+:func:`start_flows` starts one flow per host pair with the entry's
+keywords, the generator's own defaults filling the rest.
 """
 
 from __future__ import annotations
 
+import inspect
+
 from repro.core.node import Node
 from repro.ipv6.address import IPv6Address
+from repro.scenarios.builder import _check_keys
+from repro.sim.rng import SimRNG
 
 
 class CBRTraffic:
@@ -153,3 +162,75 @@ class RequestResponse:
     @property
     def mean_rtt(self) -> float:
         return sum(self.rtts) / len(self.rtts) if self.rtts else 0.0
+
+
+#: Flow generators by the ``kind`` a campaign run's ``workload`` entry names.
+TRAFFIC = {
+    "cbr": CBRTraffic,
+    "poisson": PoissonTraffic,
+    "request_response": RequestResponse,
+}
+
+#: Per kind, the generator keywords a ``workload`` entry may set, with
+#: their defaults: every keyword with a default but ``start_at`` (a
+#: campaign's flows start once the network has formed).
+_KEYWORDS = {
+    kind: {name: param.default
+           for name, param in inspect.signature(cls).parameters.items()
+           if param.default is not param.empty and name != "start_at"}
+    for kind, cls in TRAFFIC.items()
+}
+
+#: The ``workload`` entry of a campaign run that names none: one CBR
+#: flow at :class:`CBRTraffic`'s defaults.
+DEFAULT_WORKLOAD = {"kind": "cbr", "flows": 1, **_KEYWORDS["cbr"]}
+
+#: Keys a ``workload`` entry may carry: its kind, how its pairs are
+#: chosen, and any generator's keyword whatever the kind, because a
+#: campaign spec's default entry carries CBR's keywords under every kind.
+WORKLOAD_KEYS = frozenset({"kind", "flows", "pairs"}).union(*_KEYWORDS.values())
+
+
+def check_workload(workload: dict) -> None:
+    """Refuse a ``workload`` entry with an unknown key or kind."""
+    _check_keys("workload", workload, WORKLOAD_KEYS)
+    kind = workload.get("kind", DEFAULT_WORKLOAD["kind"])
+    if not isinstance(kind, str) or kind not in TRAFFIC:
+        raise ValueError(
+            f"unknown workload kind {kind!r} (expected one of {sorted(TRAFFIC)})"
+        )
+
+
+def _flow_pairs(hosts: list, workload: dict, seed: int) -> list:
+    """Pick (src, dst) node pairs: explicit indices or seeded sampling."""
+    if "pairs" in workload:
+        return [(hosts[i], hosts[j]) for i, j in workload["pairs"]]
+    configured = [h for h in hosts if h.configured]
+    if len(configured) < 2:
+        return []
+    rng = SimRNG(seed, "campaign/workload")
+    pairs = []
+    for _ in range(int(workload.get("flows", DEFAULT_WORKLOAD["flows"]))):
+        src = rng.choice(configured)
+        dst = rng.choice(configured)
+        while dst is src:
+            dst = rng.choice(configured)
+        pairs.append((src, dst))
+    return pairs
+
+
+def start_flows(hosts: list, workload: dict, seed: int) -> list:
+    """Start a campaign run's ``workload`` entry; returns its flows.
+
+    Pairs are ``workload["pairs"]`` (indices into ``hosts``) or
+    ``flows`` pairs drawn from ``SimRNG(seed, "campaign/workload")``
+    among the configured ``hosts``; a pair with an unconfigured end
+    starts no flow.  Each keyword is coerced to its default's type.
+    """
+    check_workload(workload)
+    kind = workload.get("kind", DEFAULT_WORKLOAD["kind"])
+    keywords = {key: type(default)(workload.get(key, default))
+                for key, default in _KEYWORDS[kind].items()}
+    return [TRAFFIC[kind](src, dst.ip, **keywords)
+            for src, dst in _flow_pairs(hosts, workload, seed)
+            if src.configured and dst.configured]

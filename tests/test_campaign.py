@@ -121,6 +121,9 @@ def test_spec_validation():
         CampaignSpec.from_dict({"base": {}, "axes": {"router": []}})
     with pytest.raises(ValueError):
         CampaignSpec.from_dict({"base": {}, "replicates": 0})
+    for key in ("workload", "bootstrap", "adversaries"):
+        with pytest.raises(ValueError, match=key):
+            CampaignSpec.from_dict({"base": {}, key: 5})
     bad_space = tiny_spec(samples={"count": 1, "space": {"radio.loss_rate": "nope"}})
     with pytest.raises(ValueError):
         bad_space.expand()
@@ -181,16 +184,94 @@ def test_execute_run_with_adversary_and_poisson_workload():
 
 
 def test_typoed_workload_or_bootstrap_key_fails_the_run():
-    record = execute_run(
-        tiny_spec(workload={"kind": "cbr", "intervall": 0.5}).expand()[0].to_dict()
-    )
+    # refused when the spec loads ...
+    with pytest.raises(ValueError, match="intervall"):
+        tiny_spec(workload={"kind": "cbr", "intervall": 0.5})
+    with pytest.raises(ValueError, match="stager"):
+        tiny_spec(bootstrap={"stager": 1.0})
+    # ... and a hand-built run with the same typo still fails alone
+    run = tiny_spec().expand()[0].to_dict()
+    record = execute_run({**run, "workload": {"kind": "cbr", "intervall": 0.5}})
     assert record["status"] == "error"
     assert "intervall" in record["error"]
-    record = execute_run(
-        tiny_spec(bootstrap={"stager": 1.0}).expand()[0].to_dict()
-    )
+    record = execute_run({**run, "bootstrap": {"stager": 1.0}})
     assert record["status"] == "error"
     assert "stager" in record["error"]
+
+
+_BAD_BLACKHOLE = {"kind": "blackhole", "position": [200.0, 0.0],
+                  "forge_rrep": True}
+
+#: A mistake in a run-level entry: the spec overrides that carry it, the
+#: run field and value a hand-built run carries it in, and the name the
+#: error must give.
+MISTYPED_RUN_ENTRIES = {
+    "workload kind": ({"workload": {"kind": "cbrr"}},
+                      "workload", {"kind": "cbrr"}, "cbrr"),
+    "workload key": ({"workload": {"intervall": 0.5}},
+                     "workload", {"intervall": 0.5}, "intervall"),
+    "workload axis": ({"axes": {"workload.intervall": [0.5, 2.0]}},
+                      "workload", {"kind": "cbr", "intervall": 0.5},
+                      "intervall"),
+    "adversary kind": ({"adversaries": [{"kind": "wormhole",
+                                         "position": [200.0, 0.0]}]},
+                       "adversaries",
+                       [{"kind": "wormhole", "position": [200.0, 0.0]}],
+                       "wormhole"),
+    "adversary kwarg": ({"adversaries": [_BAD_BLACKHOLE]},
+                        "adversaries", [_BAD_BLACKHOLE], "forge_rrep"),
+    "adversary position": ({"adversaries": [{"kind": "blackhole"}]},
+                           "adversaries", [{"kind": "blackhole"}], "position"),
+    "adversaries axis": ({"axes": {"adversaries": [[], [_BAD_BLACKHOLE]]}},
+                         "adversaries", [_BAD_BLACKHOLE], "forge_rrep"),
+    "bootstrap key": ({"bootstrap": {"stager": 1.0}},
+                      "bootstrap", {"stager": 1.0}, "stager"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISTYPED_RUN_ENTRIES))
+def test_mistyped_run_entry_is_refused_at_load(case, tmp_path, capsys):
+    from repro.campaign.cli import main
+
+    overrides, field, value, name = MISTYPED_RUN_ENTRIES[case]
+    with pytest.raises(ValueError, match=name):
+        tiny_spec(**overrides)
+
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({**tiny_spec().to_dict(), **overrides}))
+    out = tmp_path / "out"
+    assert main(["run", str(spec_path), "--workers", "1",
+                 "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and name in err[0]
+    assert not out.exists()  # refused before any run
+
+    # execute_run still checks what it runs
+    record = execute_run({**tiny_spec().expand()[0].to_dict(), field: value})
+    assert record["status"] == "error"
+    assert name in record["error"]
+
+
+def test_run_level_checks_leave_good_entries_alone():
+    spec = tiny_spec(
+        workload={"kind": "request_response"},
+        adversaries=[{"kind": "dns_impersonator", "position": [200.0, 0.0],
+                      "fake_answer": "fec0::bad"}],
+        axes={"workload.kind": ["cbr", "poisson"],
+              "adversaries": [[], [{"kind": "blackhole",
+                                    "position": [200.0, 0.0]}]],
+              "bootstrap.stagger": [0.1, 0.5]},
+        samples={"count": 2, "space": {"workload.count": [2, 4]}},
+    )
+    # spec.json's merged workload keeps the spec's defaults, not the
+    # request/response class's own (5, 2.0 and 128)
+    assert spec.workload == {"kind": "request_response", "flows": 1,
+                             "interval": 1.0, "count": 10, "payload_size": 64}
+    assert spec.bootstrap == {"stagger": 0.25}
+    assert len(spec.expand()) == 8 + 2
+    with pytest.raises(ValueError, match="'workload.kind'.*'cbrr'"):
+        tiny_spec(samples={"count": 1, "space": {
+            "workload.kind": {"choices": ["cbr", "cbrr"]}}})
 
 
 def test_compare_tolerates_records_missing_metrics():

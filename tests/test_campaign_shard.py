@@ -24,11 +24,7 @@ from repro.campaign.merge import (
     merge_shards,
     validate_merge_conflicts_file,
 )
-from repro.campaign.runner import (
-    EXECUTOR_REGISTRY,
-    InlineExecutor,
-    create_executor,
-)
+from repro.campaign.runner import InlineExecutor, LocalExecutor
 from repro.campaign.checkpoint import (
     load_shard_manifest,
     spec_fingerprint,
@@ -355,14 +351,15 @@ def test_executor_backends_are_interchangeable(tmp_path):
 
 
 def test_create_executor():
-    assert set(EXECUTOR_REGISTRY) == {"local", "inline"}
-    assert create_executor("inline", 4).name == "inline"
-    assert create_executor("local", 4).name == "local"
+    def executor(name, workers):
+        return CampaignRunner(_spec(), workers=workers, executor=name).executor
+
+    assert isinstance(executor("inline", 4), InlineExecutor)
+    assert isinstance(executor("local", 4), LocalExecutor)
+    assert executor("local", 4).workers == 4
     # the local backend degrades to inline at one worker
-    assert isinstance(create_executor("local", 1), InlineExecutor)
-    with pytest.raises(ValueError, match="unknown executor"):
-        create_executor("cloud", 4)
-    with pytest.raises(ValueError, match="unknown executor"):
+    assert isinstance(executor("local", 1), InlineExecutor)
+    with pytest.raises(ValueError, match="unknown executor 'cloud'"):
         CampaignRunner(_spec(), executor="cloud")
 
 

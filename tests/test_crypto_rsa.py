@@ -149,3 +149,43 @@ def test_distinct_bit_sizes_have_distinct_names():
         RSABackend(bits=100)
     with pytest.raises(ValueError):
         RSABackend(bits=513)
+
+
+def test_every_rsa_size_has_a_backend_and_only_one_name():
+    from repro.crypto.backend import create_backend, get_backend
+
+    for name, bits in (("rsa", 512), ("rsa1024", 1024), ("rsa768", 768)):
+        assert get_backend(name).bits == bits
+        assert create_backend(name).bits == bits
+        assert create_backend(name) is not get_backend(name)
+    # a size has one name, so a name read off the wire decodes canonically
+    for name in ("rsa512", "rsa0512", "rsa1023", "rsa126", "rsa+1024",
+                 "rsa\u0661\u0660\u0662\u0664", "rsa" + "2" * 5000, "rsx1024"):
+        with pytest.raises(KeyError):
+            get_backend(name)
+        with pytest.raises(KeyError):
+            create_backend(name)
+
+
+def test_1024_bit_keys_compare_hash_and_encode():
+    backend = RSABackend(bits=1024)
+    keys = backend.generate_keypair(b"rsa1024-keys")
+    same = RSABackend(bits=1024).generate_keypair(b"rsa1024-keys")
+    other = backend.generate_keypair(b"rsa1024-other")
+    assert keys.public == same.public and hash(keys.public) == hash(same.public)
+    assert keys.public != other.public
+    assert len(keys.public.encode()) == 1024 // 8 + 4
+    assert backend.decode_public_key(keys.public.encode()) == keys.public
+    # a 512-bit key with the same material bytes is another key
+    assert keys.public != RSABackend().generate_keypair(b"rsa1024-keys").public
+
+
+def test_rsa1024_chain_bootstraps():
+    from repro.scenarios import ScenarioBuilder
+
+    sc = (ScenarioBuilder(seed=3).chain(3, spacing=200.0).with_dns((200.0, 60.0))
+          .config(crypto_backend="rsa1024").build())
+    sc.bootstrap_all()
+    assert sc.configured_count() == 3
+    assert {h.public_key.backend for h in sc.all_nodes} == {"rsa1024"}
+    assert sc.ctx.crypto_backends["rsa1024"].bits == 1024

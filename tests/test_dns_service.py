@@ -3,6 +3,10 @@
 import pytest
 
 from repro.ipv6.cga import cga_address
+from repro.messages import signing
+from repro.messages.codec import encode_message
+from repro.messages.data import DataPacket
+from repro.messages.dns import DNSUpdateChallenge, DNSUpdateReply, DNSUpdateRequest
 from conftest import chain_scenario
 
 
@@ -128,6 +132,69 @@ def test_ip_change_old_cga_must_match_key():
     )
     sc.run(duration=15.0)
     assert sc.dns_server.table.lookup("alice.manet").ip == alice.ip
+
+
+def test_ip_change_to_an_address_not_a_cga_of_the_key_rejected():
+    """Alice may move her name only to a CGA of her own key (new_cga)."""
+    sc = bootstrapped(names={"n0": "alice.manet"})
+    alice, mallory = sc.hosts[0], sc.hosts[2]
+    new_rn = 777777
+    new_ip = cga_address(mallory.public_key, new_rn)  # not alice's CGA
+    outcomes = []
+    alice.dns_client.change_ip(new_ip, new_rn, outcomes.append)
+    sc.run(duration=15.0)
+    assert sc.metrics.verdicts["dns.update.rejected.new_cga"] == 1
+    assert outcomes == [False]
+    assert sc.dns_server.table.lookup("alice.manet").ip == alice.ip
+
+
+def test_ip_change_with_a_signature_that_does_not_verify_rejected():
+    """Valid CGAs of alice's key, but a bit-flipped signature over the
+    server's challenge: the binding must not move (bad_signature)."""
+    sc = bootstrapped(names={"n0": "alice.manet"})
+    alice, mallory = sc.hosts[0], sc.hosts[2]
+    new_rn = 555
+    new_ip = cga_address(alice.public_key, new_rn)
+    challenges = []
+    mallory.register_app_handler(
+        DNSUpdateChallenge, lambda msg, _packet: challenges.append(msg.ch))
+    fields = dict(domain_name="alice.manet", old_ip=alice.ip, new_ip=new_ip,
+                  old_rn=alice.cga_params.rn, new_rn=new_rn,
+                  public_key=alice.public_key)
+    server = mallory.dns_client.server_address
+    mallory.router.send_data(
+        server, encode_message(DNSUpdateRequest(**fields, signature=b"")))
+    sc.run(duration=5.0)
+    assert len(challenges) == 1
+    good = alice.sign(signing.dns_update_payload(alice.ip, new_ip, challenges[0]))
+    flipped = bytes([good[0] ^ 1]) + good[1:]
+    mallory.router.send_data(
+        server, encode_message(DNSUpdateRequest(**fields, signature=flipped)))
+    sc.run(duration=5.0)
+    assert sc.metrics.verdicts["dns.update.rejected.bad_signature"] == 1
+    assert sc.metrics.verdicts.get("dns.update.accepted", 0) == 0
+    assert sc.dns_server.table.lookup("alice.manet").ip == alice.ip
+
+
+def test_forged_update_reply_is_rejected_by_the_client():
+    """A reply not signed by the DNS cannot tell alice her move succeeded."""
+    sc = bootstrapped(names={"n0": "alice.manet"})
+    alice, mallory = sc.hosts[0], sc.hosts[2]
+    new_rn = 777777
+    new_ip = cga_address(alice.public_key, new_rn)
+    outcomes = []
+    alice.dns_client.change_ip(new_ip, new_rn, outcomes.append)
+    forged = DNSUpdateReply(
+        domain_name="alice.manet", new_ip=new_ip, accepted=True, ch=0,
+        signature=mallory.sign(
+            signing.dns_response_payload("alice.manet", new_ip, 0)),
+    )
+    assert alice.deliver_app(DataPacket(
+        sip=mallory.ip, dip=alice.ip, seq=mallory.next_seq(),
+        route=(mallory.ip, alice.ip), payload=encode_message(forged),
+    ))
+    assert sc.metrics.verdicts["dns_client.update_reply_rejected"] == 1
+    assert outcomes == [False]
 
 
 def test_warning_arep_cancels_pending_registration():
