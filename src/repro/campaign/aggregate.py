@@ -21,7 +21,6 @@ from __future__ import annotations
 import json
 import os
 
-from repro.campaign.spec import check_summary_mode
 from repro.metrics.reports import format_table
 from repro.obs.sketch import MetricSketch
 
@@ -182,11 +181,9 @@ class StreamingAggregator:
     entries are emitted sorted by run index.
 
     Memory is O(groups x columns + failures), independent of run count.
-    ``mode`` exists for old callers: only ``"exact"`` is accepted.
     """
 
-    def __init__(self, mode: str = "exact"):
-        check_summary_mode(mode)
+    def __init__(self):
         self._groups: dict[str, dict] = {}
         self._failed: list[tuple] = []
         self._runs = 0
@@ -255,14 +252,14 @@ class StreamingAggregator:
         }
 
 
-def aggregate(records: list[dict], mode: str = "exact") -> dict:
+def aggregate(records: list[dict]) -> dict:
     """Reduce records to per-group mean/min/max of every summary column.
 
     Implemented on :class:`StreamingAggregator`, so a one-shot
     aggregation and an incremental one over the same records are
     byte-identical.
     """
-    return StreamingAggregator(mode).add_all(records).report()
+    return StreamingAggregator().add_all(records).report()
 
 
 def _value_label(value) -> str:

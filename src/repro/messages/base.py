@@ -1,4 +1,4 @@
-"""Message base class and binary field primitives.
+"""Message base class, binary field primitives and the one field codec.
 
 A :class:`Message` is an immutable record; mutation patterns like
 "append my identity to the route record and rebroadcast" produce new
@@ -8,19 +8,24 @@ of the same flood.  A relayed copy also takes its wire size from the
 copy it was made from (:meth:`Message.forwarded` and the per-type relay
 helpers), so relaying never runs the encoder.
 
-:class:`Writer`/:class:`Reader` are tiny big-endian binary builders used
-by the codec; keeping them here lets message modules define their own
-``_encode_fields``/``_decode_fields`` without importing the codec
+A message's dataclass fields are its wire layout: they travel in
+declaration order, each as the :class:`WireKind` its annotation names
+(:func:`wire_layout`).  :class:`Writer`/:class:`Reader` are tiny
+big-endian binary builders under that walk; keeping them here lets
+message modules declare kinds of their own without importing the codec
 (avoiding a cycle).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import ClassVar
+import functools
+from dataclasses import dataclass, fields, is_dataclass
+from typing import (
+    Annotated, Any, Callable, ClassVar, NamedTuple, get_args, get_origin, get_type_hints,
+)
 
 from repro.crypto.backend import get_backend
-from repro.crypto.keys import PublicKey
+from repro.crypto.keys import PrivateKey, PublicKey
 from repro.ipv6.address import IPv6Address
 
 
@@ -42,10 +47,11 @@ class MessageMeta:
 class Message:
     """Base class of every protocol message.
 
-    Subclasses set ``META`` and implement ``_encode_fields``/
-    ``_decode_fields``.  ``hop_limit`` is a simulator-level TTL shared by
-    all messages (IPv6 hop limit); it is intentionally *not* covered by
-    any signature, exactly as in real IP.
+    Subclasses set ``META`` and declare their fields in wire order, each
+    annotated with its wire kind (:func:`wire_layout`).  ``hop_limit``
+    is a simulator-level TTL shared by all messages (IPv6 hop limit); it
+    is intentionally *not* covered by any signature, exactly as in real
+    IP.
     """
 
     META: ClassVar[MessageMeta]
@@ -130,13 +136,15 @@ class Message:
             parts.append(f"{f.name}={v}")
         return f"{self.META.name}({', '.join(parts)})"
 
-    # Subclass API -------------------------------------------------------
-    def _encode_fields(self, w: "Writer") -> None:
-        raise NotImplementedError
+    # Field codec --------------------------------------------------------
+    # A subclass may bring its own pair instead; no layout is then built
+    # for it.
+    def _encode_fields(self, w: Writer) -> None:
+        write_fields(w, self, wire_layout(type(self)))
 
     @classmethod
-    def _decode_fields(cls, r: "Reader") -> "Message":
-        raise NotImplementedError
+    def _decode_fields(cls, r: Reader) -> "Message":
+        return read_fields(r, cls, wire_layout(cls))
 
 
 class Writer:
@@ -172,6 +180,10 @@ class Writer:
     def text(self, s: str) -> None:
         """Length-prefixed UTF-8 string (domain names)."""
         self.blob(s.encode("utf-8"))
+
+    def flag(self, v: bool) -> None:
+        """A bool byte: 1 or 0."""
+        self.u8(1 if v else 0)
 
     def address(self, a: IPv6Address) -> None:
         self.raw(a.packed)
@@ -265,3 +277,101 @@ class Reader:
             raise CodecError(
                 f"{len(self._data) - self._pos} trailing bytes after message"
             )
+
+
+class WireKind(NamedTuple):
+    """How one field value travels.
+
+    ``encode(w, value)`` writes it; ``decode(r, field)`` reads it back
+    and names ``field`` in any :class:`CodecError` it raises.
+    """
+
+    encode: Callable[[Writer, Any], None]
+    decode: Callable[[Reader, str], Any]
+
+
+#: Integer fields state their width: ``seq: U64``, ``hop_limit: U8 = 64``.
+U8 = Annotated[int, WireKind(Writer.u8, lambda r, field: r.u8())]
+U16 = Annotated[int, WireKind(Writer.u16, lambda r, field: r.u16())]
+U64 = Annotated[int, WireKind(Writer.u64, lambda r, field: r.u64())]
+
+#: The kind of each plain annotation.  ``int`` has none (it has no
+#: width), and ``PrivateKey`` is listed with none: it never travels.
+_KINDS = {
+    IPv6Address: WireKind(Writer.address, lambda r, field: r.address()),
+    PublicKey: WireKind(Writer.public_key, Reader.public_key),
+    bytes: WireKind(Writer.blob, lambda r, field: r.blob()),
+    str: WireKind(Writer.text, Reader.text),
+    bool: WireKind(Writer.flag, Reader.flag),
+    PrivateKey: None,
+}
+
+#: One field of a layout: its attribute name, the name a
+#: :class:`CodecError` gives it, and its kind's encode and decode.
+Layout = tuple[tuple[str, str, Callable, Callable], ...]
+
+
+@functools.cache
+def wire_layout(cls: type, prefix: str = "") -> Layout:
+    """The fields of dataclass ``cls`` in wire order, built once per class.
+
+    Each field is written as the kind its annotation names: an
+    ``Annotated`` alias carrying a :class:`WireKind` (``U8``/``U16``/
+    ``U64`` or a kind of the message's own module), a plain kind of
+    ``_KINDS``, ``tuple[X, ...]`` (a ``u16`` count, then each ``X``), or
+    a nested dataclass record (its own fields, named
+    ``"<field>.<name>"`` in errors, as ``srr.public_key``).  ``prefix``
+    is put before every field's error name.  A field whose annotation
+    names no kind raises ``TypeError`` naming the class and the field.
+    """
+    hints = get_type_hints(cls, include_extras=True)
+    layout = []
+    for f in fields(cls):
+        label = prefix + f.name
+        kind = _kind(hints[f.name], label)
+        if kind is None:
+            raise TypeError(
+                f"{cls.__name__}.{f.name}: annotation {hints[f.name]!r} "
+                "names no wire kind"
+            )
+        layout.append((f.name, label, kind.encode, kind.decode))
+    return tuple(layout)
+
+
+def _kind(hint, label: str) -> WireKind | None:
+    """The kind annotation ``hint`` names, or None if it names none."""
+    if get_origin(hint) is Annotated:
+        return next((m for m in hint.__metadata__ if isinstance(m, WireKind)), None)
+    if hint in _KINDS:
+        return _KINDS[hint]
+    if get_origin(hint) is tuple:
+        args = get_args(hint)
+        item = _kind(args[0], label) if args[1:] == (...,) else None
+        if item is None:
+            return None
+        put, get = item
+
+        def encode(w: Writer, items: tuple) -> None:
+            w.u16(len(items))
+            for value in items:
+                put(w, value)
+
+        return WireKind(encode, lambda r, field: tuple(get(r, field) for _ in range(r.u16())))
+    if is_dataclass(hint):
+        layout = wire_layout(hint, label + ".")
+        return WireKind(
+            lambda w, record: write_fields(w, record, layout),
+            lambda r, field: read_fields(r, hint, layout),
+        )
+    return None
+
+
+def write_fields(w: Writer, obj, layout: Layout) -> None:
+    """Write ``obj``'s fields as ``layout`` lists them."""
+    for name, _, encode, _ in layout:
+        encode(w, getattr(obj, name))
+
+
+def read_fields(r: Reader, cls: type, layout: Layout):
+    """Read a ``cls`` whose fields ``layout`` lists."""
+    return cls(*[decode(r, label) for _, label, _, decode in layout])

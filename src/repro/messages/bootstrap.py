@@ -8,22 +8,12 @@ answers a name conflict with ``DREP(SIP, RR, [DN, ch]_NSK)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import ClassVar
 
 from repro.crypto.keys import PublicKey
 from repro.ipv6.address import IPv6Address
-from repro.messages.base import Message, MessageMeta, Reader, Writer
-
-
-def _encode_route(w: Writer, route: tuple[IPv6Address, ...]) -> None:
-    w.u16(len(route))
-    for hop in route:
-        w.address(hop)
-
-
-def _decode_route(r: Reader) -> tuple[IPv6Address, ...]:
-    return tuple(r.address() for _ in range(r.u16()))
+from repro.messages.base import U8, U64, Message, MessageMeta, Writer
 
 
 @dataclass(frozen=True)
@@ -49,11 +39,11 @@ class AREQ(Message):
     )
 
     sip: IPv6Address
-    seq: int
+    seq: U64
     domain_name: str
-    ch: int
+    ch: U64
     route_record: tuple[IPv6Address, ...] = ()
-    hop_limit: int = 64
+    hop_limit: U8 = 64
 
     def append_hop(self, hop: IPv6Address) -> "AREQ":
         """The rebroadcast copy with ``hop`` appended to RR and TTL decremented.
@@ -66,25 +56,6 @@ class AREQ(Message):
             len(w),
             route_record=self.route_record + (hop,),
             hop_limit=self.hop_limit - 1,
-        )
-
-    def _encode_fields(self, w: Writer) -> None:
-        w.address(self.sip)
-        w.u64(self.seq)
-        w.text(self.domain_name)
-        w.u64(self.ch)
-        _encode_route(w, self.route_record)
-        w.u8(self.hop_limit)
-
-    @classmethod
-    def _decode_fields(cls, r: Reader) -> "AREQ":
-        return cls(
-            sip=r.address(),
-            seq=r.u64(),
-            domain_name=r.text("domain_name"),
-            ch=r.u64(),
-            route_record=_decode_route(r),
-            hop_limit=r.u8(),
         )
 
 
@@ -109,39 +80,16 @@ class AREP(Message):
     route_record: tuple[IPv6Address, ...]
     signature: bytes
     public_key: PublicKey
-    rn: int
+    rn: U64
     #: Challenge echoed in clear so the DNS (which issued no ch of its own
     #: for this AREQ) can look up the pending registration it guards.
-    ch: int = 0
+    ch: U64 = 0
     #: True for the copy warning the DNS server.  The paper says R also
     #: "unicasts an AREP to DNS"; before routing exists there may be no
     #: route to the DNS, so the warning copy is flooded (relays dedup on
     #: (SIP, ch)).  Security is unaffected -- the warning is signed.
     to_dns: bool = False
-    hop_limit: int = 64
-
-    def _encode_fields(self, w: Writer) -> None:
-        w.address(self.sip)
-        _encode_route(w, self.route_record)
-        w.blob(self.signature)
-        w.public_key(self.public_key)
-        w.u64(self.rn)
-        w.u64(self.ch)
-        w.u8(1 if self.to_dns else 0)
-        w.u8(self.hop_limit)
-
-    @classmethod
-    def _decode_fields(cls, r: Reader) -> "AREP":
-        return cls(
-            sip=r.address(),
-            route_record=_decode_route(r),
-            signature=r.blob(),
-            public_key=r.public_key("public_key"),
-            rn=r.u64(),
-            ch=r.u64(),
-            to_dns=r.flag("to_dns"),
-            hop_limit=r.u8(),
-        )
+    hop_limit: U8 = 64
 
 
 @dataclass(frozen=True)
@@ -164,21 +112,4 @@ class DREP(Message):
     route_record: tuple[IPv6Address, ...]
     domain_name: str
     signature: bytes
-    hop_limit: int = 64
-
-    def _encode_fields(self, w: Writer) -> None:
-        w.address(self.sip)
-        _encode_route(w, self.route_record)
-        w.text(self.domain_name)
-        w.blob(self.signature)
-        w.u8(self.hop_limit)
-
-    @classmethod
-    def _decode_fields(cls, r: Reader) -> "DREP":
-        return cls(
-            sip=r.address(),
-            route_record=_decode_route(r),
-            domain_name=r.text("domain_name"),
-            signature=r.blob(),
-            hop_limit=r.u8(),
-        )
+    hop_limit: U8 = 64

@@ -9,21 +9,32 @@ mechanism of Section 3.4 rewards hops only on *verified* delivery.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import Annotated, ClassVar
 
 from repro.crypto.keys import PublicKey
 from repro.ipv6.address import IPv6Address
-from repro.messages.base import CodecError, Message, MessageMeta, Reader, Writer
+from repro.messages.base import U8, U64, CodecError, Message, MessageMeta, Reader, WireKind
 
 
-def _encode_route(w: Writer, route: tuple[IPv6Address, ...]) -> None:
-    w.u16(len(route))
-    for hop in route:
-        w.address(hop)
+def _read_segment_index(r: Reader, field: str) -> int:
+    seg = r.u16()
+    return -1 if seg == 0xFFFF else seg
 
 
-def _decode_route(r: Reader) -> tuple[IPv6Address, ...]:
-    return tuple(r.address() for _ in range(r.u16()))
+def _read_seconds(r: Reader, field: str) -> float:
+    ns = r.u64()
+    seconds = ns / 1e9
+    if round(seconds * 1e9) != ns:
+        raise CodecError(f"{field}: {ns} ns does not survive decode -> encode")
+    return seconds
+
+
+#: A hop cursor as a ``u16``; -1 (at the source) travels as 0xFFFF.
+SegmentIndex = Annotated[int, WireKind(lambda w, v: w.u16(v & 0xFFFF), _read_segment_index)]
+
+#: A time in seconds as a ``u64`` count of nanoseconds (the nearest
+#: one); a count that would not re-encode to itself does not decode.
+Nanoseconds = Annotated[float, WireKind(lambda w, v: w.u64(round(v * 1e9)), _read_seconds)]
 
 
 @dataclass(frozen=True)
@@ -44,14 +55,14 @@ class DataPacket(Message):
 
     sip: IPv6Address
     dip: IPv6Address
-    seq: int
+    seq: U64
     route: tuple[IPv6Address, ...]
     payload: bytes = b""
-    segment_index: int = -1
+    segment_index: SegmentIndex = -1
     #: Origination timestamp (a real stack would carry this in an
     #: application header; used for end-to-end latency measurement).
-    sent_at: float = 0.0
-    hop_limit: int = 64
+    sent_at: Nanoseconds = 0.0
+    hop_limit: U8 = 64
 
     def full_path(self) -> tuple[IPv6Address, ...]:
         """S, intermediates..., D."""
@@ -74,33 +85,6 @@ class DataPacket(Message):
         return self._relayed(0, segment_index=self.segment_index + 1,
                              hop_limit=self.hop_limit - 1)
 
-    def _encode_fields(self, w: Writer) -> None:
-        w.address(self.sip)
-        w.address(self.dip)
-        w.u64(self.seq)
-        _encode_route(w, self.route)
-        w.blob(self.payload)
-        w.u16(self.segment_index & 0xFFFF)
-        w.u64(round(self.sent_at * 1e9))  # nanosecond-resolution timestamp
-        w.u8(self.hop_limit)
-
-    @classmethod
-    def _decode_fields(cls, r: Reader) -> "DataPacket":
-        sip = r.address()
-        dip = r.address()
-        seq = r.u64()
-        route = _decode_route(r)
-        payload = r.blob()
-        seg = r.u16()
-        if seg == 0xFFFF:
-            seg = -1
-        ns = r.u64()
-        sent_at = ns / 1e9
-        if round(sent_at * 1e9) != ns:
-            raise CodecError(f"sent_at: {ns} ns does not survive decode -> encode")
-        return cls(sip=sip, dip=dip, seq=seq, route=route, payload=payload,
-                   segment_index=seg, sent_at=sent_at, hop_limit=r.u8())
-
 
 @dataclass(frozen=True)
 class AckPacket(Message):
@@ -115,32 +99,9 @@ class AckPacket(Message):
 
     sip: IPv6Address
     dip: IPv6Address
-    seq: int
+    seq: U64
     route: tuple[IPv6Address, ...]
     signature: bytes
     public_key: PublicKey
-    rn: int
-    hop_limit: int = 64
-
-    def _encode_fields(self, w: Writer) -> None:
-        w.address(self.sip)
-        w.address(self.dip)
-        w.u64(self.seq)
-        _encode_route(w, self.route)
-        w.blob(self.signature)
-        w.public_key(self.public_key)
-        w.u64(self.rn)
-        w.u8(self.hop_limit)
-
-    @classmethod
-    def _decode_fields(cls, r: Reader) -> "AckPacket":
-        return cls(
-            sip=r.address(),
-            dip=r.address(),
-            seq=r.u64(),
-            route=_decode_route(r),
-            signature=r.blob(),
-            public_key=r.public_key("public_key"),
-            rn=r.u64(),
-            hop_limit=r.u8(),
-        )
+    rn: U64
+    hop_limit: U8 = 64

@@ -15,17 +15,7 @@ from typing import ClassVar
 
 from repro.crypto.keys import PublicKey
 from repro.ipv6.address import IPv6Address
-from repro.messages.base import Message, MessageMeta, Reader, Writer
-
-
-def _encode_route(w: Writer, route: tuple[IPv6Address, ...]) -> None:
-    w.u16(len(route))
-    for hop in route:
-        w.address(hop)
-
-
-def _decode_route(r: Reader) -> tuple[IPv6Address, ...]:
-    return tuple(r.address() for _ in range(r.u16()))
+from repro.messages.base import U8, U64, Message, MessageMeta
 
 
 @dataclass(frozen=True)
@@ -41,19 +31,8 @@ class DNSQuery(Message):
 
     sip: IPv6Address
     domain_name: str
-    ch: int
-    hop_limit: int = 64
-
-    def _encode_fields(self, w: Writer) -> None:
-        w.address(self.sip)
-        w.text(self.domain_name)
-        w.u64(self.ch)
-        w.u8(self.hop_limit)
-
-    @classmethod
-    def _decode_fields(cls, r: Reader) -> "DNSQuery":
-        return cls(sip=r.address(), domain_name=r.text("domain_name"),
-                   ch=r.u64(), hop_limit=r.u8())
+    ch: U64
+    hop_limit: U8 = 64
 
 
 @dataclass(frozen=True)
@@ -74,28 +53,9 @@ class DNSResponse(Message):
     domain_name: str
     ip: IPv6Address
     found: bool
-    ch: int
+    ch: U64
     signature: bytes
-    hop_limit: int = 64
-
-    def _encode_fields(self, w: Writer) -> None:
-        w.text(self.domain_name)
-        w.address(self.ip)
-        w.u8(1 if self.found else 0)
-        w.u64(self.ch)
-        w.blob(self.signature)
-        w.u8(self.hop_limit)
-
-    @classmethod
-    def _decode_fields(cls, r: Reader) -> "DNSResponse":
-        return cls(
-            domain_name=r.text("domain_name"),
-            ip=r.address(),
-            found=r.flag("found"),
-            ch=r.u64(),
-            signature=r.blob(),
-            hop_limit=r.u8(),
-        )
+    hop_limit: U8 = 64
 
 
 @dataclass(frozen=True)
@@ -110,18 +70,8 @@ class DNSUpdateChallenge(Message):
     )
 
     domain_name: str
-    ch: int
-    hop_limit: int = 64
-
-    def _encode_fields(self, w: Writer) -> None:
-        w.text(self.domain_name)
-        w.u64(self.ch)
-        w.u8(self.hop_limit)
-
-    @classmethod
-    def _decode_fields(cls, r: Reader) -> "DNSUpdateChallenge":
-        return cls(domain_name=r.text("domain_name"), ch=r.u64(),
-                   hop_limit=r.u8())
+    ch: U64
+    hop_limit: U8 = 64
 
 
 @dataclass(frozen=True)
@@ -142,34 +92,11 @@ class DNSUpdateRequest(Message):
     domain_name: str
     old_ip: IPv6Address
     new_ip: IPv6Address
-    old_rn: int
-    new_rn: int
+    old_rn: U64
+    new_rn: U64
     public_key: PublicKey
     signature: bytes
-    hop_limit: int = 64
-
-    def _encode_fields(self, w: Writer) -> None:
-        w.text(self.domain_name)
-        w.address(self.old_ip)
-        w.address(self.new_ip)
-        w.u64(self.old_rn)
-        w.u64(self.new_rn)
-        w.public_key(self.public_key)
-        w.blob(self.signature)
-        w.u8(self.hop_limit)
-
-    @classmethod
-    def _decode_fields(cls, r: Reader) -> "DNSUpdateRequest":
-        return cls(
-            domain_name=r.text("domain_name"),
-            old_ip=r.address(),
-            new_ip=r.address(),
-            old_rn=r.u64(),
-            new_rn=r.u64(),
-            public_key=r.public_key("public_key"),
-            signature=r.blob(),
-            hop_limit=r.u8(),
-        )
+    hop_limit: U8 = 64
 
 
 @dataclass(frozen=True)
@@ -186,25 +113,6 @@ class DNSUpdateReply(Message):
     domain_name: str
     new_ip: IPv6Address
     accepted: bool
-    ch: int
+    ch: U64
     signature: bytes
-    hop_limit: int = 64
-
-    def _encode_fields(self, w: Writer) -> None:
-        w.text(self.domain_name)
-        w.address(self.new_ip)
-        w.u8(1 if self.accepted else 0)
-        w.u64(self.ch)
-        w.blob(self.signature)
-        w.u8(self.hop_limit)
-
-    @classmethod
-    def _decode_fields(cls, r: Reader) -> "DNSUpdateReply":
-        return cls(
-            domain_name=r.text("domain_name"),
-            new_ip=r.address(),
-            accepted=r.flag("accepted"),
-            ch=r.u64(),
-            signature=r.blob(),
-            hop_limit=r.u8(),
-        )
+    hop_limit: U8 = 64

@@ -8,11 +8,11 @@ registration also works.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import ClassVar
 
 from repro.ipv6.address import IPv6Address
-from repro.messages.base import Message, MessageMeta, Reader, Writer
+from repro.messages.base import U8, Message, MessageMeta
 
 
 @dataclass(frozen=True)
@@ -32,17 +32,7 @@ class NeighborSolicitation(Message):
 
     target: IPv6Address
     domain_name: str = ""
-    hop_limit: int = 1
-
-    def _encode_fields(self, w: Writer) -> None:
-        w.address(self.target)
-        w.text(self.domain_name)
-        w.u8(self.hop_limit)
-
-    @classmethod
-    def _decode_fields(cls, r: Reader) -> "NeighborSolicitation":
-        return cls(target=r.address(), domain_name=r.text("domain_name"),
-                   hop_limit=r.u8())
+    hop_limit: U8 = 1
 
 
 @dataclass(frozen=True)
@@ -60,19 +50,4 @@ class NeighborAdvertisement(Message):
     domain_name: str = ""
     #: True when the conflict is on the domain name rather than the address.
     duplicate_name: bool = False
-    hop_limit: int = 1
-
-    def _encode_fields(self, w: Writer) -> None:
-        w.address(self.target)
-        w.text(self.domain_name)
-        w.u8(1 if self.duplicate_name else 0)
-        w.u8(self.hop_limit)
-
-    @classmethod
-    def _decode_fields(cls, r: Reader) -> "NeighborAdvertisement":
-        return cls(
-            target=r.address(),
-            domain_name=r.text("domain_name"),
-            duplicate_name=r.flag("duplicate_name"),
-            hop_limit=r.u8(),
-        )
+    hop_limit: U8 = 1

@@ -14,7 +14,7 @@ from typing import Callable, ClassVar
 
 from repro.crypto.keys import PublicKey
 from repro.ipv6.address import IPv6Address
-from repro.messages.base import Message, MessageMeta, Reader, Writer
+from repro.messages.base import U8, U64, Message, MessageMeta, Writer, wire_layout
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,7 @@ class SRREntry:
     ip: IPv6Address
     signature: bytes
     public_key: PublicKey
-    rn: int
+    rn: U64
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_signature_size", len(self.signature))
@@ -90,41 +90,10 @@ class SRREntry:
     def wire_size(self) -> int:
         """Encoded length in bytes; sizing a deferred entry does not sign it."""
         w = Writer()
-        w.address(self.ip)
-        w.public_key(self.public_key)
-        w.u64(self.rn)
+        for name, _, encode, _ in wire_layout(SRREntry):
+            if name != "signature":
+                encode(w, getattr(self, name))
         return len(w) + 2 + self._signature_size  # + the signature blob
-
-    def encode(self, w: Writer) -> None:
-        w.address(self.ip)
-        w.blob(self.signature)
-        w.public_key(self.public_key)
-        w.u64(self.rn)
-
-    @classmethod
-    def decode(cls, r: Reader) -> "SRREntry":
-        return cls(ip=r.address(), signature=r.blob(),
-                   public_key=r.public_key("srr.public_key"), rn=r.u64())
-
-
-def _encode_srr(w: Writer, srr: tuple[SRREntry, ...]) -> None:
-    w.u16(len(srr))
-    for entry in srr:
-        entry.encode(w)
-
-
-def _decode_srr(r: Reader) -> tuple[SRREntry, ...]:
-    return tuple(SRREntry.decode(r) for _ in range(r.u16()))
-
-
-def _encode_route(w: Writer, route: tuple[IPv6Address, ...]) -> None:
-    w.u16(len(route))
-    for hop in route:
-        w.address(hop)
-
-
-def _decode_route(r: Reader) -> tuple[IPv6Address, ...]:
-    return tuple(r.address() for _ in range(r.u16()))
 
 
 @dataclass(frozen=True)
@@ -144,12 +113,12 @@ class RREQ(Message):
 
     sip: IPv6Address
     dip: IPv6Address
-    seq: int
+    seq: U64
     srr: tuple[SRREntry, ...]
     source_signature: bytes
     source_public_key: PublicKey
-    source_rn: int
-    hop_limit: int = 64
+    source_rn: U64
+    hop_limit: U8 = 64
 
     @property
     def route_ips(self) -> tuple[IPv6Address, ...]:
@@ -173,29 +142,6 @@ class RREQ(Message):
             entry.signature
         return self.__dict__
 
-    def _encode_fields(self, w: Writer) -> None:
-        w.address(self.sip)
-        w.address(self.dip)
-        w.u64(self.seq)
-        _encode_srr(w, self.srr)
-        w.blob(self.source_signature)
-        w.public_key(self.source_public_key)
-        w.u64(self.source_rn)
-        w.u8(self.hop_limit)
-
-    @classmethod
-    def _decode_fields(cls, r: Reader) -> "RREQ":
-        return cls(
-            sip=r.address(),
-            dip=r.address(),
-            seq=r.u64(),
-            srr=_decode_srr(r),
-            source_signature=r.blob(),
-            source_public_key=r.public_key("source_public_key"),
-            source_rn=r.u64(),
-            hop_limit=r.u8(),
-        )
-
 
 @dataclass(frozen=True)
 class RREP(Message):
@@ -215,35 +161,12 @@ class RREP(Message):
 
     sip: IPv6Address
     dip: IPv6Address
-    seq: int
+    seq: U64
     route: tuple[IPv6Address, ...]
     signature: bytes
     public_key: PublicKey
-    rn: int
-    hop_limit: int = 64
-
-    def _encode_fields(self, w: Writer) -> None:
-        w.address(self.sip)
-        w.address(self.dip)
-        w.u64(self.seq)
-        _encode_route(w, self.route)
-        w.blob(self.signature)
-        w.public_key(self.public_key)
-        w.u64(self.rn)
-        w.u8(self.hop_limit)
-
-    @classmethod
-    def _decode_fields(cls, r: Reader) -> "RREP":
-        return cls(
-            sip=r.address(),
-            dip=r.address(),
-            seq=r.u64(),
-            route=_decode_route(r),
-            signature=r.blob(),
-            public_key=r.public_key("public_key"),
-            rn=r.u64(),
-            hop_limit=r.u8(),
-        )
+    rn: U64
+    hop_limit: U8 = 64
 
 
 @dataclass(frozen=True)
@@ -274,56 +197,21 @@ class CREP(Message):
     sprime_ip: IPv6Address
     sip: IPv6Address
     dip: IPv6Address
-    fresh_seq: int
+    fresh_seq: U64
     fresh_route: tuple[IPv6Address, ...]
     fresh_signature: bytes
     fresh_public_key: PublicKey
-    fresh_rn: int
-    cached_seq: int
+    fresh_rn: U64
+    cached_seq: U64
     cached_route: tuple[IPv6Address, ...]
     cached_signature: bytes
     cached_public_key: PublicKey
-    cached_rn: int
-    hop_limit: int = 64
+    cached_rn: U64
+    hop_limit: U8 = 64
 
     def full_route(self) -> tuple[IPv6Address, ...]:
         """The spliced S' -> S -> D intermediate-hop list (S itself included)."""
         return self.fresh_route + (self.sip,) + self.cached_route
-
-    def _encode_fields(self, w: Writer) -> None:
-        w.address(self.sprime_ip)
-        w.address(self.sip)
-        w.address(self.dip)
-        w.u64(self.fresh_seq)
-        _encode_route(w, self.fresh_route)
-        w.blob(self.fresh_signature)
-        w.public_key(self.fresh_public_key)
-        w.u64(self.fresh_rn)
-        w.u64(self.cached_seq)
-        _encode_route(w, self.cached_route)
-        w.blob(self.cached_signature)
-        w.public_key(self.cached_public_key)
-        w.u64(self.cached_rn)
-        w.u8(self.hop_limit)
-
-    @classmethod
-    def _decode_fields(cls, r: Reader) -> "CREP":
-        return cls(
-            sprime_ip=r.address(),
-            sip=r.address(),
-            dip=r.address(),
-            fresh_seq=r.u64(),
-            fresh_route=_decode_route(r),
-            fresh_signature=r.blob(),
-            fresh_public_key=r.public_key("fresh_public_key"),
-            fresh_rn=r.u64(),
-            cached_seq=r.u64(),
-            cached_route=_decode_route(r),
-            cached_signature=r.blob(),
-            cached_public_key=r.public_key("cached_public_key"),
-            cached_rn=r.u64(),
-            hop_limit=r.u8(),
-        )
 
 
 @dataclass(frozen=True)
@@ -346,7 +234,7 @@ class RERR(Message):
     broken_next_hop: IPv6Address
     signature: bytes
     public_key: PublicKey
-    rn: int
+    rn: U64
     #: The source the report is addressed to (needed for reverse routing).
     sip: IPv6Address = IPv6Address(0)
     #: Transport detail: the hops between the reporter and S (reporter's
@@ -355,27 +243,4 @@ class RERR(Message):
     #: source route, which requires carrying this list.  It is *not*
     #: signed -- tampering with it only misdelivers the report.
     return_route: tuple[IPv6Address, ...] = ()
-    hop_limit: int = 64
-
-    def _encode_fields(self, w: Writer) -> None:
-        w.address(self.reporter_ip)
-        w.address(self.broken_next_hop)
-        w.blob(self.signature)
-        w.public_key(self.public_key)
-        w.u64(self.rn)
-        w.address(self.sip)
-        _encode_route(w, self.return_route)
-        w.u8(self.hop_limit)
-
-    @classmethod
-    def _decode_fields(cls, r: Reader) -> "RERR":
-        return cls(
-            reporter_ip=r.address(),
-            broken_next_hop=r.address(),
-            signature=r.blob(),
-            public_key=r.public_key("public_key"),
-            rn=r.u64(),
-            sip=r.address(),
-            return_route=_decode_route(r),
-            hop_limit=r.u8(),
-        )
+    hop_limit: U8 = 64

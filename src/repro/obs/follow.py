@@ -82,7 +82,6 @@ class ResultsTail:
 def follow_report(
     results_path,
     total: int | None = None,
-    mode: str = "exact",
     interval: float = 0.5,
     max_polls: int | None = None,
     on_update=None,
@@ -100,7 +99,7 @@ def follow_report(
     report dict -- byte-identical to a post-hoc
     :func:`~repro.campaign.aggregate.aggregate` over the same records.
     """
-    aggregator = StreamingAggregator(mode)
+    aggregator = StreamingAggregator()
     tail = ResultsTail(results_path)
     polls = 0
     try:

@@ -125,11 +125,6 @@ class SpatialHashGrid:
         """Non-empty cell count (introspection for tests/benchmarks)."""
         return sum(1 for members in self._cells.values() if members)
 
-    @property
-    def cached_blocks(self) -> int:
-        """Live cached candidate blocks (introspection for tests)."""
-        return len(self._block_cache)
-
     def _cell_of(self, position: tuple[float, float]) -> tuple[int, int]:
         s = self.cell_size
         return (int(position[0] // s), int(position[1] // s))

@@ -4,6 +4,7 @@ import pytest
 
 from repro.adversary.impersonator import attempt_address_takeover
 from repro.ipv6.cga import cga_address
+from repro.ipv6.prefixes import DNS_ANYCAST_ADDRESSES
 from repro.scenarios.attacks import add_dns_impersonator
 from conftest import chain_scenario
 
@@ -72,6 +73,26 @@ def test_address_takeover_fails_identity_checks():
     # the CGA check (its key does not hash to the victim's address).
     assert sc.metrics.verdicts["rrep.rejected.bad_cga"] >= 1
     assert sc.metrics.delivered(searcher.ip, victim_ip) == 0 or failures
+
+
+def test_host_aliasing_the_dns_anycast_cannot_answer_for_it():
+    """A host claims the DNS anycast address, as a thief claims a unicast
+    one, and answers discoveries for it with its own key.  Only the DNS
+    key may answer for the anycast address, so its RREP fails with
+    bad_signature and the source caches no route to the anycast."""
+    sc = chain_scenario(n=4, seed=73).build()
+    sc.bootstrap_all()
+    source, rogue = sc.hosts[0], sc.hosts[3]
+    anycast = DNS_ANYCAST_ADDRESSES[0]
+    # The real server is off the air: any route to the anycast is the rogue's.
+    sc.medium.set_enabled(sc.dns_node.link_id, False)
+    rogue.aliases.add(anycast)
+
+    source.router.discover(anycast)
+    sc.run(duration=5.0)
+    assert sc.metrics.verdicts["rrep.rejected.bad_signature"] >= 1
+    assert sc.metrics.verdicts.get("rrep.accepted", 0) == 0
+    assert source.router.cache.routes_to(anycast, sc.sim.now) == []
 
 
 def test_address_takeover_cannot_defend_in_dad():

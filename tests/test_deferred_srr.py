@@ -200,8 +200,7 @@ def test_no_public_attribute_or_repr_of_an_entry_exposes_the_signer():
     entry = relayed_copies(sc)[0].srr[0]
     assert unsigned(entry)
     public = sorted(name for name in dir(entry) if not name.startswith("_"))
-    assert public == ["decode", "deferred", "encode", "ip", "public_key", "rn",
-                      "signature", "wire_size"]
+    assert public == ["deferred", "ip", "public_key", "rn", "signature", "wire_size"]
     text = repr(entry)
     assert "PrivateKey" not in text and "partial" not in text
     assert unsigned(entry)  # formatting is no read

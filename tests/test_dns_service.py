@@ -4,6 +4,7 @@ import pytest
 
 from repro.ipv6.cga import cga_address
 from repro.messages import signing
+from repro.messages.bootstrap import AREP
 from repro.messages.codec import encode_message
 from repro.messages.data import DataPacket
 from repro.messages.dns import DNSUpdateChallenge, DNSUpdateReply, DNSUpdateRequest
@@ -224,6 +225,36 @@ def test_warning_arep_cancels_pending_registration():
     # closed, so "thief.manet" never bound to the victim's address.
     assert "thief.manet" not in sc.dns_server.table
     assert sc.metrics.verdicts["dns.warning_arep.accepted"] >= 1
+
+
+def test_forged_warning_arep_does_not_cancel_a_registration():
+    """A warning AREP that echoes the joiner's clear sip and ch, signed by
+    a key sip is no CGA of: the DNS rejects it (bad_cga) and the name
+    still binds to the joiner."""
+    sc = chain_scenario(n=3, seed=17).build()
+    sc.sim.schedule(0.0, sc.hosts[0].bootstrap.start, "")
+    sc.sim.schedule(0.3, sc.hosts[1].bootstrap.start, "")
+    sc.run(duration=5.0)
+    joiner, attacker = sc.hosts[2], sc.hosts[1]
+    boot = joiner.bootstrap
+    boot.start("carol.manet")
+    sc.run(duration=0.2)  # the AREQ is in: a registration is pending
+    sip, ch = boot.tentative_ip, boot.pending_ch
+    assert sc.dns_server.ledger.find_registration(sip, ch, sc.sim.now) is not None
+
+    attacker.broadcast(AREP(
+        sip=sip, route_record=(), public_key=attacker.public_key,
+        rn=attacker.cga_params.rn, ch=ch, to_dns=True,
+        signature=attacker.sign(signing.arep_payload(sip, ch)),
+    ))
+    sc.run(duration=0.5)
+    assert sc.metrics.verdicts["dns.warning_arep.rejected.bad_cga"] >= 1
+    assert sc.metrics.verdicts.get("dns.warning_arep.accepted", 0) == 0
+    sc.run(duration=5.0)
+    results = []
+    sc.hosts[0].dns_client.resolve("carol.manet", results.append)
+    sc.run(duration=10.0)
+    assert joiner.configured and results == [joiner.ip]
 
 
 def test_dns_answers_route_discovery_for_anycast():

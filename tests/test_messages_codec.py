@@ -1,10 +1,16 @@
 """Codec round-trip and robustness tests for every message type (Table 1)."""
 
+import dataclasses
+import hashlib
+from dataclasses import dataclass
+from typing import ClassVar
+
 import pytest
 
 from repro.crypto.backend import get_backend
+from repro.crypto.keys import PrivateKey
 from repro.ipv6.address import IPv6Address
-from repro.messages.base import CodecError
+from repro.messages.base import U8, CodecError, Message, MessageMeta, wire_layout
 from repro.messages.bootstrap import AREP, AREQ, DREP
 from repro.messages.codec import (
     MESSAGE_TYPES,
@@ -169,6 +175,48 @@ def test_private_key_never_in_encoded_form():
         w.public_key(PrivateKey("simsig", b"secret"))  # type: ignore[arg-type]
 
 
+# -- the layout is the dataclass fields -----------------------------------------
+
+def test_every_registered_type_builds_its_layout_from_its_fields():
+    """Each type on the shared codec writes every field, in declaration order."""
+    for cls in MESSAGE_TYPES.values():
+        if cls._encode_fields is not Message._encode_fields:
+            continue  # brings its own pair
+        layout = wire_layout(cls)
+        assert [name for name, *_ in layout] == [f.name for f in dataclasses.fields(cls)]
+
+
+@pytest.mark.parametrize("annotation", [int, PrivateKey, tuple[int, ...], list[IPv6Address]],
+                         ids=["int", "PrivateKey", "tuple-of-int", "list"])
+def test_a_field_with_no_wire_kind_is_refused_by_name(annotation):
+    @dataclass(frozen=True)
+    class Loose(Message):
+        META: ClassVar[MessageMeta] = MessageMeta(201, "LOOSE", "loose", "()")
+        hop_limit: U8
+        secret: annotation
+
+    with pytest.raises(TypeError, match=r"Loose\.secret: annotation .* names no wire kind"):
+        wire_layout(Loose)
+
+
+def test_a_type_with_its_own_field_pair_needs_no_layout(monkeypatch):
+    @dataclass(frozen=True)
+    class Own(Message):
+        META: ClassVar[MessageMeta] = MessageMeta(201, "OWN", "own pair", "(n)")
+        n: int  # no width: only its own pair knows it is a u32
+
+        def _encode_fields(self, w):
+            w.u32(self.n)
+
+        @classmethod
+        def _decode_fields(cls, r):
+            return cls(n=r.u32())
+
+    monkeypatch.setitem(MESSAGE_TYPES, 201, Own)
+    assert decode_message(encode_message(Own(n=7))) == Own(n=7)
+    assert len(encode_message(Own(n=7))) == 5
+
+
 # -- a decode raises only CodecError, naming the field --------------------------
 
 def _arep(key=KEY):
@@ -240,3 +288,59 @@ def test_sent_at_encodes_the_nearest_nanosecond():
     msg = DataPacket(sip=A1, dip=A2, seq=1, route=(), sent_at=17.034919685568127)
     data = encode_message(msg)
     assert encode_message(decode_message(data)) == data
+
+
+# -- the bytes themselves -------------------------------------------------------
+
+#: sha256 of ``encode_message(m)`` for each ``sample_messages(key)`` entry,
+#: in order, under the simsig key and under a 512-bit RSA key.  Round-trip
+#: and size tests stay green if a field is reordered or re-widened to a
+#: kind of the same size; these do not.
+PINNED_WIRE_DIGESTS = {
+    "simsig": [
+        "f843be04e234012d883ebc8e26446f485f70551b22741883ef0b97011ba86014",
+        "2f190e6180f6c813efcd10d494a4137728226f816aa6bbbddff5303573324342",
+        "9b98513f57bbf218b33368eb518b9a2e7c70baa8bcb58bddce187fadbd5eb47a",
+        "3212865fea57010ba3e96aee267cc1bae73eee073e93d23042feb3169d922f49",
+        "cdbf8a75308c5c415ca1c36b4954b1f05767cb2dff947a22d9cd9e17cb2b7485",
+        "3f873db4b97ceaebcccc4a5db1bb39b29abbd8761cf16f14f2f3584866aa8982",
+        "905106075df198367ccfc49edfaa03a20e3451391870c4ba3bb2ff13c7f1c45e",
+        "5c6827d68b6c1edf4127ab0fc318fd65843bec3817a0aaecd2e9a8cc7881f28b",
+        "6a904ca7ed4d7a966326bcef1be51907052f392c62d0c224f305a1e2b51db2f5",
+        "fc4dc1de97fa6c8b7de96f8d30f3364074edf95f41faa58f3cfcf3c102dc6955",
+        "9b3d36bd335fc1df1265060d3a1069592ffda17501ff3c8a4513d8ae45c1bd33",
+        "2e9d577e8d8ef33eb138ef4fc9cab4a9ebdb0cc52c2f9555f80e2bfafbd95cda",
+        "e4a3b8e2d3ceea07d68514d2d3a0ef391c84b85373183d48243eebb42c94f16f",
+        "178b724c356b3b75985f848d923b6cccef41356aeb6c86744753bb6b86507424",
+        "1b8b735b0ac48fa6a8ce14e69901eb7777b7476d71142bd5b1ab939f3bdf0fbb",
+        "27631cc9ec07ea4a90228961717ce6d4c824b23ddcdc6c08e815464c16f72358",
+    ],
+    "rsa": [
+        "f843be04e234012d883ebc8e26446f485f70551b22741883ef0b97011ba86014",
+        "2f190e6180f6c813efcd10d494a4137728226f816aa6bbbddff5303573324342",
+        "9b98513f57bbf218b33368eb518b9a2e7c70baa8bcb58bddce187fadbd5eb47a",
+        "d25c961a4f3a03d1595b4b3fbca817870a8348adb07df5045dc1c22714123ce5",
+        "cdbf8a75308c5c415ca1c36b4954b1f05767cb2dff947a22d9cd9e17cb2b7485",
+        "cdb271ef42973c4d11381b0b8dcae4fb6ca3bee8ae16a4f430754473d1aba56d",
+        "5aa2f6cb8cadf84197a3e602d2a0c8822e67a0b78c2467381733afb482d1742b",
+        "50ce38b159229b7e7d6ac50b6e54b3190898dbb440cb37cf3bd53e308328ee73",
+        "20ee5f7b7d5c24b4bd98d04a04ace81699c7cc4da064a21b379f5954f9f422cd",
+        "fc4dc1de97fa6c8b7de96f8d30f3364074edf95f41faa58f3cfcf3c102dc6955",
+        "204bd64c50452d8269d120864ca580e3507fa6f5f459a27ac9efb472d6d5a554",
+        "2e9d577e8d8ef33eb138ef4fc9cab4a9ebdb0cc52c2f9555f80e2bfafbd95cda",
+        "e4a3b8e2d3ceea07d68514d2d3a0ef391c84b85373183d48243eebb42c94f16f",
+        "178b724c356b3b75985f848d923b6cccef41356aeb6c86744753bb6b86507424",
+        "b3493a95d623843d867db63278328140102fd8fd58a5ccb20f4e8f0e5f09709c",
+        "27631cc9ec07ea4a90228961717ce6d4c824b23ddcdc6c08e815464c16f72358",
+    ],
+}
+
+
+@pytest.mark.parametrize("backend", sorted(PINNED_WIRE_DIGESTS))
+def test_wire_bytes_are_pinned(backend):
+    key = KEY if backend == "simsig" else \
+        get_backend("rsa").generate_keypair(b"codec-rsa").public
+    msgs = sample_messages(key)
+    names = [type(m).__name__ for m in msgs]
+    digests = [hashlib.sha256(encode_message(m)).hexdigest() for m in msgs]
+    assert dict(zip(names, digests)) == dict(zip(names, PINNED_WIRE_DIGESTS[backend]))

@@ -139,7 +139,7 @@ def followed_campaign(tmp_path_factory):
     def follow():
         report.update(follow_report(
             os.path.join(out, "results.jsonl"),
-            total=total, mode="exact", interval=0.01,
+            total=total, interval=0.01,
         ))
 
     follower = threading.Thread(target=follow)
@@ -155,7 +155,7 @@ def test_follow_report_matches_posthoc_bytes(followed_campaign):
     out = followed_campaign["out"]
     with open(os.path.join(out, "results.jsonl"), "r", encoding="utf-8") as fh:
         records = [json.loads(line) for line in fh]
-    posthoc = aggregate(records, mode="exact")
+    posthoc = aggregate(records)
     live = followed_campaign["report"]
     assert json.dumps(live, sort_keys=True) == \
            json.dumps(posthoc, sort_keys=True)

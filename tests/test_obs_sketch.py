@@ -95,7 +95,7 @@ def _fake_records(n_groups=3, replicates=10, seed=13):
 
 
 def test_exact_mode_report_has_no_sketch_fields():
-    report = aggregate(_fake_records(), mode="exact")
+    report = aggregate(_fake_records())
     assert "summary_mode" not in report
     for group in report["groups"]:
         for stats in group["metrics"].values():
