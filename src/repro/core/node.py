@@ -353,7 +353,9 @@ class Node:
             self.neighbor_cache[msg.target] = frame.src_link
         name = type(msg).META.name
         self.ctx.metrics.on_receive(name)
-        self.ctx.trace.record(self.sim.now, self.name, "recv", name, payload=msg)
+        trace = self.ctx.trace
+        if trace.enabled:
+            trace.record(self.sim.now, self.name, "recv", name, payload=msg)
         for handler in self._handlers.get(type(msg), ()):
             handler(frame, msg)
 
@@ -367,9 +369,12 @@ class Node:
         # it was made from, so only originated messages encode here.
         size = msg.wire_size()
         self.ctx.metrics.on_send(name, size)
-        self.ctx.trace.record(
-            self.sim.now, self.name, "send", name, payload=msg, next_hop=next_hop
-        )
+        trace = self.ctx.trace
+        if trace.enabled:
+            trace.record(
+                self.sim.now, self.name, "send", name, payload=msg,
+                next_hop=next_hop,
+            )
         return size
 
     def broadcast(self, msg: Message, claimed_src: IPv6Address | None = None) -> None:
@@ -439,10 +444,7 @@ class Node:
         """
         link = self.neighbor_cache.get(next_hop)
         if link is None:
-            self.ctx.trace.record(
-                self.sim.now, self.name, "note", "L2",
-                f"no ND-cache entry for {next_hop}",
-            )
+            self.note(f"no ND-cache entry for {next_hop}", "L2")
             if on_fail is not None:
                 self.sim.schedule(0.0, on_fail)
             return
@@ -471,12 +473,16 @@ class Node:
     # -- misc ------------------------------------------------------------------
     def note(self, text: str, msg_type: str = "-") -> None:
         """Drop a free-form annotation into the trace."""
-        self.ctx.trace.record(self.sim.now, self.name, "note", msg_type, text)
+        trace = self.ctx.trace
+        if trace.enabled:
+            trace.record(self.sim.now, self.name, "note", msg_type, text)
 
     def verdict(self, verdict: str) -> None:
         """Record a security accept/reject verdict (metrics + trace)."""
         self.ctx.metrics.on_verdict(verdict)
-        self.ctx.trace.record(self.sim.now, self.name, "verdict", "-", verdict)
+        trace = self.ctx.trace
+        if trace.enabled:
+            trace.record(self.sim.now, self.name, "verdict", "-", verdict)
 
     def __repr__(self) -> str:
         return f"Node({self.name}, ip={self.ip})"

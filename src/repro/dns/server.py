@@ -56,6 +56,12 @@ class DNSServer:
         #: Flood dedup: the same AREQ arrives over several paths; only the
         #: first copy may open (or re-open) a pending registration.
         self._seen_areqs: set[tuple[IPv6Address, int]] = set()
+        #: Warning AREPs already rejected, keyed on all the content the
+        #: check reads: the flood brings each one over several paths, and
+        #: a copy carrying the same content would only fail again.  Not
+        #: keyed on (sip, ch): a forgery echoing them must not silence
+        #: the genuine warning behind it.
+        self._rejected_warnings: set[tuple] = set()
         node.aliases.update(DNS_ANYCAST_ADDRESSES)
         # Publish the trust anchor: "the public key has been securely
         # distributed to all mobile nodes prior to network formation".
@@ -143,6 +149,9 @@ class DNSServer:
         pending = self.ledger.find_registration(msg.sip, msg.ch, self.node.sim.now)
         if pending is None or pending.cancelled:
             return
+        content = (msg.sip, msg.ch, msg.public_key, msg.rn, msg.signature)
+        if content in self._rejected_warnings:
+            return
         # Verify with the same two checks the joiner runs (paper: "the DNS
         # can verify the AREP with the same checks"; the challenge was
         # issued by S, kept by us with the pending registration).
@@ -153,6 +162,7 @@ class DNSServer:
         )
         if not check:
             self.node.verdict(f"dns.warning_arep.rejected.{check.reason}")
+            self._rejected_warnings.add(content)
             return
         pending.cancelled = True
         self.ledger.close_registration(msg.sip, pending.ch)

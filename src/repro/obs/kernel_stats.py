@@ -5,7 +5,8 @@ by default -- its hot loop is untouched and nothing here is imported.
 ``Simulator.enable_stats()`` attaches a sink and switches execution to
 an instrumented twin of the loop that additionally tracks:
 
-* heap high-water mark (sampled at event boundaries and compactions),
+* heap high-water mark in heap entries, where a broadcast's batch of
+  copies is one entry (sampled at event boundaries and compactions),
 * cancelled entries skipped on pop,
 * per-handler-kind call counts and wall-time buckets (keyed by the
   callback's qualified name),

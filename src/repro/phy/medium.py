@@ -19,25 +19,30 @@ network-wide flood is near-linear in N instead of quadratic.
 Broadcast pipeline
 ------------------
 
-``broadcast`` runs one numpy pipeline, fault windows included:
+``broadcast`` runs one pipeline, fault windows included:
 
 * candidate lookup -- the index returns the cached
   :class:`~repro.phy.neighbor_index.CandidateBlock` for the sender's
   cell block: sorted candidate ids plus a numpy position matrix;
-* distances -- one numpy subtraction + ``sqrt`` yields every
-  sender->candidate distance, cached per sender until the block changes;
+* range -- one numpy subtraction + ``sqrt`` yields every
+  sender->candidate distance; the in-range receivers and their
+  propagation delays ``d / c``, as python lists, are cached per sender
+  until the block changes, so a static sender pays numpy once;
+* delays -- ``[p + tx + proc for p in prop]`` in plain floats;
 * fault filter -- while a fault window is open, :attr:`fault_hook` runs
   once per in-range receiver in ascending link-id order; a suppressed
   copy is dropped before the loss draw;
 * losses -- one :meth:`~repro.sim.rng.SimRNG.random_batch` draw yields a
   ``phy/loss`` variate per surviving receiver;
-* batch schedule -- survivors are pushed onto the kernel heap via
-  :meth:`~repro.sim.kernel.Simulator.schedule_batch`, skipping
-  per-event handle allocation.
+* batch schedule -- the survivors' deliveries go to
+  :meth:`~repro.sim.kernel.Simulator.schedule_batch`, which keeps them
+  as one heap entry and delivers each through :meth:`_deliver` as its
+  own event.
 
 Distances are ``sqrt(dx*dx + dy*dy)`` -- multiply, add and square root
 are correctly-rounded IEEE-754 operations, so the numpy form is
-bit-identical to ``math.sqrt`` on the same operands.  A scalar
+bit-identical to ``math.sqrt`` on the same operands; so are the
+division by ``c`` and the two additions of a delay.  A scalar
 per-receiver loop over a full scan of the radios lives on as a test
 oracle (``tests/phy_oracle.py``); tests/test_medium_equivalence.py pins
 production to it byte for byte under loss, mobility, churn,
@@ -155,7 +160,8 @@ class WirelessMedium:
         self._promiscuous_sorted: tuple[int, ...] = ()
         self._next_link_id = 0
         self._rng = sim.rng("phy/loss")
-        #: Range memo: sender link id -> (block, dists, rx ids).
+        #: Range memo: sender link id -> (block, rx ids, propagation
+        #: delays).
         #: Valid exactly while the index still serves the *same*
         #: CandidateBlock object for the sender's cell -- blocks are
         #: immutable and replaced wholesale on any insert/remove/move/
@@ -271,9 +277,10 @@ class WirelessMedium:
         return self.distance(a, b) <= self.radio_range
 
     def _range(self, src: int, sender: RadioHandle) -> tuple:
-        """``(block, rx_dists, rx_ids)`` for enabled ``sender``: the
-        receivers in range, ascending link id, read from (and kept in)
-        the per-sender range cache."""
+        """``(block, rx_ids, prop)`` for enabled ``sender``: the
+        receivers in range, ascending link id, and each one's
+        propagation delay, read from (and kept in) the per-sender range
+        cache."""
         block = self._index.candidates_with_positions(sender.position)
         cached = self._range_cache.get(src)
         if cached is None or cached[0] is not block:
@@ -286,7 +293,7 @@ class WirelessMedium:
         radio = self._radios.get(link_id)
         if radio is None or not radio.enabled:
             return []
-        return list(self._range(link_id, radio)[2])
+        return list(self._range(link_id, radio)[1])
 
     # -- timing -----------------------------------------------------------
     def tx_delay(self, size: int) -> float:
@@ -327,10 +334,15 @@ class WirelessMedium:
         sender.frames_sent += 1
         sender.bytes_sent += frame.size
         src = frame.src_link
-        _, rx_dists, rx_ids = self._range(src, sender)
+        _, rx_ids, prop = self._range(src, sender)
         count = len(rx_ids)
         if count == 0:
             return 0
+        # (d/c + tx) + proc: the operations and order of _delivery_delay
+        # (addition commutes exactly), on python floats.
+        tx = self.tx_delay(frame.size)
+        proc = self.proc_delay
+        delays = [p + tx + proc for p in prop]
         frames = None
         hook = self.fault_hook
         if hook is not None:
@@ -340,7 +352,7 @@ class WirelessMedium:
                 self.suppressed_frames += count - len(kept)
                 if not kept:
                     return count
-                rx_dists = rx_dists[kept]
+                delays = [delays[i] for i in kept]
                 rx_ids = [rx_ids[i] for i in kept]
                 frames = [frames[i] for i in kept]
         # One batched draw per surviving receiver, ascending id -- the
@@ -348,29 +360,20 @@ class WirelessMedium:
         # (SimRNG.random_batch).
         n = len(rx_ids)
         draws = self._rng.random_batch(n)
-        if self.loss_rate > 0.0:
-            survived = draws >= self.loss_rate
-            delivered = int(survived.sum())
+        loss_rate = self.loss_rate
+        if loss_rate > 0.0:
+            keep = [draw >= loss_rate for draw in draws.tolist()]
+            delivered = sum(keep)
             if delivered < n:
                 self.dropped_frames += n - delivered
                 if delivered == 0:
                     return count
-                rx_dists = rx_dists[survived]
-                keep = survived.tolist()
+                delays = [d for d, ok in zip(delays, keep) if ok]
                 rx_ids = [rx for rx, ok in zip(rx_ids, keep) if ok]
                 if frames is not None:
                     frames = [fx for fx, ok in zip(frames, keep) if ok]
-        # (tx + d/c) + proc, the operation order of _delivery_delay; the
-        # in-place ops touch only this fresh `delays` array, never the
-        # cached distances.
-        delays = rx_dists / _SPEED_OF_LIGHT
-        delays += self.tx_delay(frame.size)
-        delays += self.proc_delay
-        # .tolist() yields python floats: event times (and thus sim.now,
-        # latencies, traces, JSON summaries) must never carry numpy
-        # scalar types.
         self.sim.schedule_batch(
-            delays.tolist(),
+            delays,
             self._deliver,
             [(rx, frame) for rx in rx_ids] if frames is None
             else list(zip(rx_ids, frames)),
@@ -378,15 +381,17 @@ class WirelessMedium:
         return count
 
     def _compute_range(self, src: int, sender: RadioHandle, block) -> tuple:
-        """Distances from ``src`` to every in-range candidate in ``block``.
+        """The in-range candidates of ``src`` in ``block``.
 
-        Returns ``(block, rx_dists, rx_ids)`` with receivers in
-        ascending link-id order; cached per sender until the index
-        replaces the block (see ``_range_cache``).
+        Returns ``(block, rx_ids, prop)``: receivers in ascending
+        link-id order and each one's propagation delay ``d / c`` as a
+        python float (event times must never carry numpy scalar types);
+        cached per sender until the index replaces the block (see
+        ``_range_cache``).
         """
         ids = block.id_arr
         if ids.size == 0:
-            return (block, np.empty(0, dtype=np.float64), [])
+            return (block, [], [])
         sx, sy = sender.position
         dx = block.pos_arr[:, 0] - sx
         dy = block.pos_arr[:, 1] - sy
@@ -402,7 +407,8 @@ class WirelessMedium:
         i = ids.searchsorted(src)
         if i < ids.size and ids[i] == src:
             in_range[i] = False
-        return (block, dists[in_range], ids[in_range].tolist())
+        prop = dists[in_range] / _SPEED_OF_LIGHT
+        return (block, ids[in_range].tolist(), prop.tolist())
 
     def unicast(
         self,

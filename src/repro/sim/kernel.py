@@ -9,10 +9,24 @@ reaches ``payload`` -- heap ordering runs entirely in C, which matters:
 comparisons during ``heappush``/``heappop`` are the single hottest
 operation in a large simulation.
 
-``payload`` is either an :class:`Event` (the cancellable record behind
-an :class:`EventHandle`) or, for :meth:`Simulator.schedule_batch`, a
-bare ``(callback, args)`` tuple -- batch-scheduled events cannot be
-cancelled, so they skip the Event allocation entirely.
+``payload`` is one of three entry kinds:
+
+* an :class:`Event` -- the cancellable record behind an
+  :class:`EventHandle`, pushed by :meth:`Simulator.schedule` and
+  :meth:`Simulator.schedule_at`;
+* a bare ``(callback, args)`` tuple -- a plain, uncancellable entry:
+  a :meth:`Simulator.schedule_batch` of one copy;
+* a batch -- a ``list`` of the undelivered copies of a larger
+  ``schedule_batch`` (one broadcast's deliveries), each a ``(time,
+  priority, seq, callback, args)`` tuple, latest first, so the next
+  copy is ``batch[-1]`` and its key is the entry's key.  A copy
+  compares with a heap entry directly (``seq`` is unique, so the
+  comparison never reaches the callback).  The run loop delivers copies
+  while the next one still sorts before the heap top, and pushes the
+  batch back under the next copy's key as soon as another event comes
+  first.  So a flood costs one push and one pop per frame, not per
+  receiver, while the firing order, the clock and every counter stay
+  those of one entry per copy.
 
 The kernel deliberately has no notion of "processes" or coroutines: the
 protocol stack is written in callback style, which profiles faster in
@@ -97,8 +111,8 @@ AUTO_COMPACT_MIN_HEAP = 4096
 
 def _entry_cancelled(entry: tuple) -> bool:
     """True when a heap entry's payload is a cancelled :class:`Event`
-    (batch payloads -- bare ``(callback, args)`` tuples -- have no
-    cancel path)."""
+    (plain ``(callback, args)`` and batch payloads have no cancel
+    path)."""
     payload = entry[3]
     return type(payload) is Event and payload.cancelled
 
@@ -130,6 +144,10 @@ class Simulator:
         self._seed = seed
         self._rng_streams: dict[str, Any] = {}
         self._events_executed = 0
+        #: Undelivered batch copies beyond the one heap entry each queued
+        #: batch occupies (a batch being delivered occupies none), so
+        #: ``events_pending`` stays O(1).
+        self._held_copies = 0
         self._cancelled_pending = 0
         self._compactions = 0
         self._stats = None  # opt-in KernelStats sink; None = uninstrumented
@@ -153,8 +171,12 @@ class Simulator:
 
     @property
     def events_pending(self) -> int:
-        """Number of heap entries not yet popped, including cancelled residue."""
-        return len(self._heap)
+        """Number of events not yet run, including cancelled residue.
+
+        Every undelivered batch copy counts, as it would as its own
+        heap entry.
+        """
+        return len(self._heap) + self._held_copies
 
     @property
     def cancelled_pending(self) -> int:
@@ -267,13 +289,17 @@ class Simulator:
         """Schedule ``callback(*args)`` once per ``(delay, args)`` pair.
 
         The bulk form of :meth:`schedule` for hot paths that fan one
-        transmission out to many receivers: pre-built ``(time, priority,
-        seq, (callback, args))`` heap entries are pushed directly, with
-        no per-event :class:`Event`/:class:`EventHandle` allocation, so
-        none of the events can be cancelled individually.  Entries get
-        consecutive ``seq`` numbers in iteration order, which makes a
-        batch push observably identical (including FIFO tie-breaking) to
-        an equivalent sequence of :meth:`schedule` calls.
+        transmission out to many receivers.  The copies get consecutive
+        ``seq`` numbers in iteration order and go into the heap as ONE
+        entry: a batch holding them sorted by ``(time, seq)`` (a single
+        copy is a plain ``(callback, args)`` entry; see the module
+        docstring for the entry kinds).  The run loop delivers each copy
+        as its own event, interleaved with every other event exactly as
+        if each had been pushed by its own :meth:`schedule` call -- so a
+        batch is observably identical to that sequence of calls: firing
+        order (FIFO tie-breaking included), ``now`` in each callback,
+        ``events_executed`` and ``events_pending``.  No copy gets an
+        :class:`Event`/:class:`EventHandle`, so none can be cancelled.
 
         Both sequences are materialized, length-checked, and every delay
         validated before anything is pushed: an invalid batch schedules
@@ -282,9 +308,10 @@ class Simulator:
         """
         delays = delays if isinstance(delays, (list, tuple)) else list(delays)
         args_seq = args_seq if isinstance(args_seq, (list, tuple)) else list(args_seq)
-        if len(delays) != len(args_seq):
+        n = len(delays)
+        if n != len(args_seq):
             raise SimulationError(
-                f"schedule_batch length mismatch: {len(delays)} delays"
+                f"schedule_batch length mismatch: {n} delays"
                 f" vs {len(args_seq)} args"
             )
         for delay in delays:
@@ -292,14 +319,24 @@ class Simulator:
                 raise SimulationError(
                     f"cannot schedule into the past (delay={delay})"
                 )
+        if n == 0:
+            return
         now = self._now
-        heap = self._heap
-        push = heapq.heappush
         seq = self._seq
-        for delay, args in zip(delays, args_seq):
-            push(heap, (now + delay, priority, seq, (callback, args)))
-            seq += 1
-        self._seq = seq
+        self._seq = seq + n
+        if n == 1:
+            heapq.heappush(
+                self._heap, (now + delays[0], priority, seq, (callback, args_seq[0]))
+            )
+            return
+        batch = [
+            (now + delay, priority, s, callback, args)
+            for delay, s, args in zip(delays, range(seq, seq + n), args_seq)
+        ]
+        batch.sort(reverse=True)  # by (time, seq), latest first
+        first = batch[-1]
+        heapq.heappush(self._heap, (first[0], priority, first[2], batch))
+        self._held_copies += n - 1
 
     # ------------------------------------------------------------------
     # execution
@@ -324,11 +361,16 @@ class Simulator:
     def step(self) -> bool:
         """Execute the next pending event.  Returns False if queue is empty."""
         stats = self._stats
-        while self._heap:
+        heap = self._heap
+        while heap:
             if stats is not None:
-                stats.observe_heap(len(self._heap))
-            time, _, _, payload = heapq.heappop(self._heap)
-            if type(payload) is Event:
+                stats.observe_heap(len(heap))
+            time, _, _, payload = heapq.heappop(heap)
+            kind = type(payload)
+            if kind is list:
+                self._run_batch(payload, None, 1, stats)
+                return True
+            if kind is Event:
                 payload.popped = True
                 if payload.cancelled:
                     self._cancelled_pending -= 1
@@ -376,7 +418,14 @@ class Simulator:
             if until is not None and heap[0][0] > until:
                 break
             time, _, _, payload = pop(heap)
-            if type(payload) is Event:
+            kind = type(payload)
+            if kind is list:
+                executed += self._run_batch(
+                    payload, until,
+                    None if max_events is None else max_events - executed, None,
+                )
+                continue
+            if kind is Event:
                 payload.popped = True
                 if payload.cancelled:
                     self._cancelled_pending -= 1
@@ -397,15 +446,16 @@ class Simulator:
 
         Identical event semantics (ordering, clock, cancellation); adds
         heap high-water sampling at each event boundary, cancelled-skip
-        counting, and per-handler wall-time buckets.  Heap length peaks
-        right after a callback returns (callbacks only push), so
-        loop-top sampling observes the true high-water mark between
-        compactions.
+        counting, and per-handler wall-time buckets (one call per batch
+        copy).  Heap length peaks right after a callback returns
+        (callbacks only push), so boundary sampling observes the true
+        high-water mark between compactions.
         """
         from time import perf_counter
 
         stats = self._stats
         executed = 0
+        events_before = self._events_executed
         heap = self._heap
         pop = heapq.heappop
         loop_started = perf_counter()
@@ -417,7 +467,15 @@ class Simulator:
                     break
                 stats.observe_heap(len(heap))
                 time, _, _, payload = pop(heap)
-                if type(payload) is Event:
+                kind = type(payload)
+                if kind is list:
+                    executed += self._run_batch(
+                        payload, until,
+                        None if max_events is None else max_events - executed,
+                        stats,
+                    )
+                    continue
+                if kind is Event:
                     payload.popped = True
                     if payload.cancelled:
                         self._cancelled_pending -= 1
@@ -433,8 +491,49 @@ class Simulator:
             if until is not None and until > self._now:
                 self._now = until
         finally:
-            stats.instrumented_events += executed
+            stats.instrumented_events += self._events_executed - events_before
             stats.wall_seconds += perf_counter() - loop_started
+
+    def _run_batch(self, batch: list, until: float | None,
+                   budget: int | None, stats) -> int:
+        """Deliver copies of ``batch``, just popped off the heap, in order.
+
+        The batch's next copy runs at once: its key was the heap top.
+        Each following copy runs too while it still sorts before the
+        heap top, is due by ``until`` and ``budget`` copies (``None``:
+        no limit) have not run.  Otherwise -- and also when a callback
+        raises -- the batch goes back on the heap under its next copy's
+        key, so undelivered copies stay pending.  ``stats`` is the sink
+        of the instrumented loop, or ``None``.  Returns the number of
+        copies delivered.
+        """
+        heap = self._heap
+        ran = 0
+        try:
+            while True:
+                time, _, _, callback, args = batch.pop()
+                self._now = time
+                self._events_executed += 1
+                ran += 1
+                if stats is None:
+                    callback(*args)
+                else:
+                    self._timed_call(stats, callback, args)
+                if not batch:
+                    return ran
+                copy = batch[-1]
+                if (ran == budget or (heap and heap[0] < copy)
+                        or (until is not None and copy[0] > until)):
+                    return ran
+                # the next copy leaves the batch's count: it is "popped"
+                self._held_copies -= 1
+                if stats is not None:
+                    stats.observe_heap(len(heap) + 1)  # + this batch
+        finally:
+            if batch:
+                copy = batch[-1]
+                heapq.heappush(heap, (copy[0], copy[1], copy[2], batch))
+                self._held_copies -= 1
 
     @staticmethod
     def _timed_call(stats, callback, args) -> None:
@@ -455,6 +554,7 @@ class Simulator:
         Runs automatically when cancelled residue exceeds half of a
         large (> ``AUTO_COMPACT_MIN_HEAP``-entry) heap; still callable
         explicitly for long simulations with unusual cancel patterns.
+        Plain and batch entries cannot be cancelled and are always kept.
         """
         before = len(self._heap)
         if self._stats is not None:

@@ -10,18 +10,25 @@ SHA-256, so
   (unlike sharing one ``random.Random``).
 
 ``SimRNG`` wraps :class:`numpy.random.Generator` for bulk vectorised
-draws and exposes a few protocol-centric helpers (nonce, jitter).  A
-stream builds its generator on its first draw: a run creates many
-streams it never draws from, and creating one costs only the SHA-256
-of :func:`derive_seed`.
+draws and exposes a few protocol-centric helpers (nonce, jitter).  Its
+scalar :meth:`SimRNG.random` and :meth:`SimRNG.uniform` compute numpy's
+own formulas from one raw PCG64 output, bit for bit, without numpy's
+per-call dispatch: every relay's jitter draws one.  A stream builds its
+generator on its first draw: a run creates many streams it never draws
+from, and creating one costs only the SHA-256 of :func:`derive_seed`.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import math
 
 import numpy as np
+
+#: numpy's ``next_double`` scale, 2**-53: a double in [0, 1) is the top
+#: 53 bits of one 64-bit output times this.
+_DOUBLE_UNIT = 1.0 / 9007199254740992.0
 
 
 def check_seed(seed: int, name: str = "master_seed") -> None:
@@ -59,6 +66,15 @@ def spawn_seed(master_seed: int, run_index: int) -> int:
     return derive_seed(master_seed, f"spawn/{run_index}")
 
 
+def _check_span(span: float) -> None:
+    """numpy's checks on ``Generator.uniform``'s ``high - low``, in its
+    order and with its messages (a zero span passes)."""
+    if not math.isfinite(span):
+        raise OverflowError("high - low range exceeds valid bounds")
+    if math.copysign(1.0, span) < 0.0:
+        raise ValueError("high - low < 0")
+
+
 class SimRNG:
     """A named deterministic random stream.
 
@@ -87,12 +103,33 @@ class SimRNG:
 
     # -- scalar draws ---------------------------------------------------
     def random(self) -> float:
-        """Uniform float in [0, 1)."""
-        return float(self._gen.random())
+        """Uniform float in [0, 1): ``Generator.random()``, bit for bit.
+
+        numpy's ``next_double`` is ``(raw >> 11) * 2**-53`` on one 64-bit
+        PCG64 output.  The shift leaves an integer below 2**53, which
+        converts to a double exactly, and scaling by a power of two is
+        exact, so this is numpy's value.  It consumes the same one
+        output and, like numpy's, leaves the buffered 32-bit half-word
+        that :meth:`nonce`/:meth:`randint` may hold alone.
+        """
+        return (self._gen.bit_generator.random_raw() >> 11) * _DOUBLE_UNIT
 
     def uniform(self, lo: float, hi: float) -> float:
-        """Uniform float in [lo, hi)."""
-        return float(self._gen.uniform(lo, hi))
+        """Uniform float in [lo, hi): ``Generator.uniform``, bit for bit.
+
+        numpy's ``random_uniform`` is ``lo + (hi - lo) * u`` on ``lo``
+        and ``hi`` as doubles, with ``u`` drawn as :meth:`random` draws
+        it; the same IEEE operations in the same order give the same
+        value.  numpy's errors are kept, raised before anything is
+        drawn: ``OverflowError`` when ``hi - lo`` is not finite,
+        ``ValueError`` when it is negative (``-0.0`` included).
+        """
+        lo = float(lo)
+        hi = float(hi)
+        span = hi - lo
+        if not 0.0 < span < math.inf:
+            _check_span(span)
+        return lo + span * self.random()
 
     def randint(self, lo: int, hi: int) -> int:
         """Uniform integer in [lo, hi] inclusive."""

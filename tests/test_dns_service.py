@@ -198,13 +198,10 @@ def test_forged_update_reply_is_rejected_by_the_client():
     assert outcomes == [False]
 
 
-def test_warning_arep_cancels_pending_registration():
-    """A duplicate holder's warning stops the DNS from registering (DN, SIP)."""
-    sc = chain_scenario(n=3, seed=41).build()
-    sc.bootstrap_all()
+def _probe_held_address(sc):
+    """A joiner (n2, re-bootstrapping) probes n0's address with the name
+    "thief.manet" and ch 1234; returns n0, the address's holder."""
     victim = sc.hosts[0]
-
-    # A joiner (n2, re-bootstrapping) probes the victim's address with a name.
     joiner = sc.hosts[2]
     joiner.abandon_identity()
     boot = joiner.bootstrap
@@ -220,6 +217,14 @@ def test_warning_arep_cancels_pending_registration():
     boot._seen_areqs.add((areq.sip, areq.seq))
     boot._timer.start(joiner.config.dad_timeout)
     joiner.broadcast(areq, claimed_src=victim.ip)
+    return victim
+
+
+def test_warning_arep_cancels_pending_registration():
+    """A duplicate holder's warning stops the DNS from registering (DN, SIP)."""
+    sc = chain_scenario(n=3, seed=41).build()
+    sc.bootstrap_all()
+    _probe_held_address(sc)
     sc.run(duration=10.0)
     # The victim's warning AREP reached the DNS before the quiet window
     # closed, so "thief.manet" never bound to the victim's address.
@@ -248,13 +253,39 @@ def test_forged_warning_arep_does_not_cancel_a_registration():
         signature=attacker.sign(signing.arep_payload(sip, ch)),
     ))
     sc.run(duration=0.5)
-    assert sc.metrics.verdicts["dns.warning_arep.rejected.bad_cga"] >= 1
+    # checked once: its relayed copies carry the same content
+    assert sc.metrics.verdicts["dns.warning_arep.rejected.bad_cga"] == 1
     assert sc.metrics.verdicts.get("dns.warning_arep.accepted", 0) == 0
     sc.run(duration=5.0)
     results = []
     sc.hosts[0].dns_client.resolve("carol.manet", results.append)
     sc.run(duration=10.0)
     assert joiner.configured and results == [joiner.ip]
+
+
+def test_forged_warning_first_does_not_silence_the_holders_warning():
+    """A forged warning echoing the joiner's sip and ch reaches the DNS
+    first and is rejected; the holder's genuine warning behind it (same
+    sip and ch) still cancels the registration."""
+    sc = chain_scenario(n=3, seed=41).build()
+    sc.bootstrap_all()
+    victim = _probe_held_address(sc)
+    attacker = sc.hosts[1]
+    ledger, verdicts = sc.dns_server.ledger, sc.metrics.verdicts
+    while ledger.find_registration(victim.ip, 1234, sc.sim.now) is None:
+        assert sc.sim.step()
+    attacker.broadcast(AREP(
+        sip=victim.ip, route_record=(), public_key=attacker.public_key,
+        rn=attacker.cga_params.rn, ch=1234, to_dns=True,
+        signature=attacker.sign(signing.arep_payload(victim.ip, 1234)),
+    ))
+    while not verdicts.get("dns.warning_arep.rejected.bad_cga"):
+        assert sc.sim.step()
+    assert verdicts.get("dns.warning_arep.accepted", 0) == 0
+    sc.run(duration=10.0)
+    assert verdicts["dns.warning_arep.rejected.bad_cga"] == 1
+    assert verdicts["dns.warning_arep.accepted"] == 1
+    assert "thief.manet" not in sc.dns_server.table
 
 
 def test_dns_answers_route_discovery_for_anycast():

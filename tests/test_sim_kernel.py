@@ -1,6 +1,8 @@
 """Unit tests for the discrete-event kernel."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.sim.kernel import SimulationError, Simulator
 
@@ -368,3 +370,148 @@ def test_schedule_batch_invalid_delay_schedules_nothing():
     sim.schedule(1.0, fired.append, "only")
     sim.run()
     assert fired == ["only"]
+
+
+# -- a batch is one heap entry, observably a sequence of schedules ----------
+
+def test_a_batch_is_one_heap_entry_and_one_copy_a_plain_entry():
+    sim = Simulator()
+    sim.schedule_batch([3.0, 1.0, 2.0], print, [("c",), ("a",), ("b",)])
+    assert len(sim._heap) == 1 and sim.events_pending == 3
+    sim.schedule_batch([0.5], print, [("solo",)])
+    assert len(sim._heap) == 2 and sim.events_pending == 4
+    # the one-copy batch is the bare (callback, args) entry, first to pop
+    assert sim._heap[0] == (0.5, 0, 3, (print, ("solo",)))
+
+
+def test_a_callback_raising_mid_batch_leaves_the_rest_pending():
+    fired = []
+
+    def deliver(tag):
+        fired.append(tag)
+        if tag == "b1":
+            raise RuntimeError("receiver crashed")
+
+    sim = Simulator()
+    sim.schedule_batch([1.0, 1.0, 2.0], deliver, [("b0",), ("b1",), ("b2",)])
+    with pytest.raises(RuntimeError):
+        sim.run()
+    assert fired == ["b0", "b1"]
+    assert sim.now == 1.0 and sim.events_executed == 2
+    assert sim.events_pending == 1
+    sim.run()
+    assert fired == ["b0", "b1", "b2"]
+    assert sim.events_pending == 0
+
+
+def test_drain_cancelled_keeps_a_partly_delivered_batch():
+    """A batch pushed back mid-run (another event came first) survives
+    a compaction that callback triggers."""
+    sim = Simulator()
+    fired = []
+    handles = [sim.schedule(5.0, fired.append, "cancelled") for _ in range(4)]
+
+    def compact():
+        fired.append("compact")
+        for h in handles:
+            h.cancel()
+        assert sim.drain_cancelled() == 4
+
+    sim.schedule_batch([1.0, 3.0], fired.append, [("b0",), ("b1",)])
+    sim.schedule(2.0, compact)
+    sim.run()
+    assert fired == ["b0", "compact", "b1"]
+    assert sim.events_executed == 3 and sim.events_pending == 0
+
+
+#: Delays on a dyadic grid: sums are exact, so an event scheduled from a
+#: callback can land exactly on a copy's time, and delays often tie.
+_DELAY = st.integers(min_value=0, max_value=12).map(lambda k: k * 0.25)
+_PRIORITY = st.integers(min_value=-1, max_value=1)
+_LEAF = st.one_of(
+    st.tuples(st.just("one"), _DELAY, _PRIORITY),
+    st.tuples(st.just("batch"), st.lists(_DELAY, max_size=12), _PRIORITY),
+)
+#: A program: top-level schedules, each with the leaf schedules that
+#: every event it fires makes in turn.
+_PROGRAM = st.lists(
+    st.tuples(_LEAF, st.lists(_LEAF, max_size=3)), min_size=1, max_size=6
+)
+
+
+def _load(program, batched: bool):
+    """A simulator holding ``program``, and the log its callbacks fill.
+
+    ``batched`` schedules each batch with ``schedule_batch``; otherwise
+    each copy gets its own ``schedule`` call, the reference.
+    """
+    sim = Simulator()
+    log = []
+
+    def fire(tag, children):
+        log.append((tag, sim.now, sim.events_executed, sim.events_pending))
+        for j, child in enumerate(children):
+            put(child, f"{tag}/{j}", ())
+
+    def put(leaf, tag, children):
+        kind, delay, priority = leaf
+        if kind == "one":
+            sim.schedule(delay, fire, tag, children, priority=priority)
+            return
+        args = [(f"{tag}.{k}", children) for k in range(len(delay))]
+        if batched:
+            sim.schedule_batch(delay, fire, args, priority=priority)
+        else:
+            for d, a in zip(delay, args):
+                sim.schedule(d, fire, *a, priority=priority)
+
+    for i, (leaf, children) in enumerate(program):
+        put(leaf, str(i), tuple(children))
+    return sim, log
+
+
+def _state(sim):
+    return (sim.now, sim.events_executed, sim.events_pending)
+
+
+def _run_program(program, batched: bool, loop: str, arg: int, instrumented: bool):
+    sim, log = _load(program, batched)
+    stats = sim.enable_stats() if instrumented else None
+    marks = []
+    if loop == "run":
+        sim.run()
+    elif loop == "until":
+        # epochs of arg/8 s against delays on a 1/4 s grid: some end
+        # between two copies of a batch, some exactly on a copy's time
+        for k in range(1, 40):
+            sim.run(until=k * arg * 0.125)
+            marks.append(_state(sim))
+        sim.run()
+    elif loop == "max_events":
+        while sim.events_pending:
+            sim.run(max_events=arg)
+            marks.append(_state(sim))
+    else:
+        while sim.step():
+            marks.append(_state(sim))
+    marks.append(_state(sim))
+    if stats is not None:
+        # step() fills the handler buckets, not the run loop's count
+        assert stats.instrumented_events == (
+            sim.events_executed if loop != "step" else 0)
+        assert sum(stats.handler_calls.values()) == sim.events_executed
+    return log, marks
+
+
+@settings(max_examples=150, deadline=None)
+@given(_PROGRAM, st.sampled_from(["run", "until", "max_events", "step"]),
+       st.integers(min_value=1, max_value=5), st.booleans())
+def test_a_batch_runs_as_its_sequence_of_schedules(program, loop, arg,
+                                                   instrumented):
+    """Firing order, the clock each callback sees, events_executed and
+    events_pending (in each callback and after each epoch) match the
+    same program built from one schedule() per copy, under every way
+    of driving the run loop, instrumented or not."""
+    want = _run_program(program, False, loop, arg, instrumented)
+    got = _run_program(program, True, loop, arg, instrumented)
+    assert got == want

@@ -1,5 +1,7 @@
 """Unit tests for deterministic RNG streams."""
 
+import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -294,3 +296,62 @@ def test_a_run_builds_generators_for_exactly_the_streams_it_draws_from(monkeypat
     # the rest of what the run created stays unbuilt
     assert built() == drawn
     assert len(drawn_at_build) < len(drawn) < len(created)
+
+
+# -- random/uniform are numpy's formulas on one raw output -------------------
+
+#: uniform bounds: float and int, negative lo, lo == hi, wide spans, and
+#: ints that round as doubles (numpy subtracts the doubles: 2**53 + 1
+#: is 2**53, so the last pair is lo == hi, not hi < lo).
+UNIFORM_BOUNDS = [
+    (0.0, 1.0), (2.0, 5.0), (-3.5, -1.25), (-7.0, 11.0), (4.0, 4.0),
+    (0, 10), (-5, 3), (7, 7), (2 ** 60, 2 ** 61 + 1), (-(2 ** 70), 3),
+    (-1e300, 1e300), (0.0, 1e-300), (-0.0, 0.0), (1e-3, 1.1e-3),
+    (2 ** 53 + 1, 2 ** 54), (2 ** 53 + 1, 2 ** 53),
+]
+#: jitter (base, fraction): fraction >= 1 clamps lo to 0; base 0 is lo == hi.
+JITTERS = [(0.01, 0.1), (2.5, 0.5), (0.0, 0.1), (1.0, 1.0), (3.0, 2.0), (1e9, 1e-6)]
+
+
+def test_random_uniform_and_jitter_equal_numpy_bit_for_bit():
+    for seed in range(200):
+        rng, gen = SimRNG(seed, "raw"), _generator(seed, "raw")
+        for lo, hi in UNIFORM_BOUNDS:
+            assert _same(rng.random(), float(gen.random())), seed
+            assert _same(rng.uniform(lo, hi), float(gen.uniform(lo, hi))), (seed, lo, hi)
+        for base, fraction in JITTERS:
+            lo, hi = max(0.0, base * (1 - fraction)), base * (1 + fraction)
+            assert _same(rng.jitter(base, fraction), float(gen.uniform(lo, hi)))
+
+
+#: Every drawing method, plus two draws that read the stream
+#: differently: a 32-bit nonce leaves half a 64-bit output buffered for
+#: the next 32-bit draw (randint and choice over small ranges take 32
+#: bits), which the raw draws in between must leave alone.
+INTERLEAVED = DRAWS + [
+    ("nonce32", lambda r: r.nonce(32), lambda g: int.from_bytes(g.bytes(4), "big")),
+    ("uniform_negative_lo", lambda r: r.uniform(-2, 9.5),
+     lambda g: float(g.uniform(-2, 9.5))),
+]
+
+
+def test_raw_draws_interleave_with_every_other_draw_as_numpy_does():
+    for seed in range(200):
+        rng, gen = SimRNG(seed, "mix"), _generator(seed, "mix")
+        order = INTERLEAVED[seed % len(INTERLEAVED):] + INTERLEAVED[:seed % len(INTERLEAVED)]
+        for name, draw, direct in order + order[::-1] + order:
+            assert _same(draw(rng), direct(gen)), (seed, name)
+
+
+@pytest.mark.parametrize("lo,hi", [
+    (1.0, 0.0), (5, 3), (0.0, -0.0), (0.0, math.inf), (-math.inf, 0.0),
+    (math.inf, 0.0), (math.inf, math.inf), (math.nan, 1.0), (0.0, math.nan),
+    (-1e308, 1e308),
+])
+def test_uniform_raises_as_numpy_does_and_draws_nothing(lo, hi):
+    rng, gen = SimRNG(5, "err"), _generator(5, "err")
+    with pytest.raises((ValueError, OverflowError)) as want:
+        gen.uniform(lo, hi)
+    with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
+        rng.uniform(lo, hi)
+    assert rng.random() == float(gen.random())
