@@ -52,9 +52,9 @@ class BootstrapManager:
         self._timer = Timer(node.sim, self._dad_timeout_fired)
         self.on_configured: list[Callable[[Node], None]] = []
         self.on_failed: list[Callable[[Node], None]] = []
-        # Flood dedup: (sip, seq) for AREQs, (sip, ch) for DNS-warning AREPs
+        # Flood dedup: (sip, seq) for AREQs, the content of DNS-warning AREPs
         self._seen_areqs: set[tuple[IPv6Address, int]] = set()
-        self._seen_warnings: set[tuple[IPv6Address, int]] = set()
+        self._seen_warnings: set[tuple] = set()
 
         node.register_handler(AREQ, self._on_areq)
         node.register_handler(AREP, self._on_arep)
@@ -220,7 +220,7 @@ class BootstrapManager:
         self._send_reverse(arep, msg.route_record)
         # Warn the DNS so it drops any pending (DN, SIP) registration.
         warning = arep.replace(to_dns=True, route_record=())
-        self._seen_warnings.add((warning.sip, warning.ch))
+        self._seen_warnings.add(warning.content())
         self.node.broadcast(warning)
 
     def _send_reverse(self, msg: AREP | DREP, rr: tuple[IPv6Address, ...]) -> None:
@@ -259,8 +259,9 @@ class BootstrapManager:
         self._forward_reverse(msg, msg.route_record)
 
     def _relay_dns_warning(self, msg: AREP) -> None:
-        """Flood-relay the DNS warning copy (dedup on (SIP, ch))."""
-        key = (msg.sip, msg.ch)
+        """Flood-relay the DNS warning copy, once per :meth:`AREP.content`:
+        a forgery that echoes its ``sip`` and ``ch`` does not silence it."""
+        key = msg.content()
         if key in self._seen_warnings:
             return
         self._seen_warnings.add(key)

@@ -78,9 +78,10 @@ class KeypairPool:
     that asks for the same ``(backend_name, seed)`` -- which is exactly
     what a batched campaign worker does: re-running the same spec at
     different parameters re-derives the same node keys, and RSA keygen
-    (~14 ms/key) dwarfs everything else at N=1000.  The pool returns
-    **the pair the backend would have regenerated**, byte for byte, which
-    is what makes reuse observationally transparent.
+    (about 2.5 ms per 512-bit key) dwarfs everything else at N=1000.
+    The pool returns **the pair the backend would have regenerated**,
+    byte for byte, which is what makes reuse observationally
+    transparent.
 
     On a hit the pair is re-adopted into the *requesting* backend
     instance (:meth:`CryptoBackend.adopt_keypair`): per-scenario backends

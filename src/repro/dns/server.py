@@ -149,7 +149,7 @@ class DNSServer:
         pending = self.ledger.find_registration(msg.sip, msg.ch, self.node.sim.now)
         if pending is None or pending.cancelled:
             return
-        content = (msg.sip, msg.ch, msg.public_key, msg.rn, msg.signature)
+        content = msg.content()
         if content in self._rejected_warnings:
             return
         # Verify with the same two checks the joiner runs (paper: "the DNS

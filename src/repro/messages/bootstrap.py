@@ -87,9 +87,16 @@ class AREP(Message):
     #: True for the copy warning the DNS server.  The paper says R also
     #: "unicasts an AREP to DNS"; before routing exists there may be no
     #: route to the DNS, so the warning copy is flooded (relays dedup on
-    #: (SIP, ch)).  Security is unaffected -- the warning is signed.
+    #: :meth:`content`).  Security is unaffected -- the warning is signed.
     to_dns: bool = False
     hop_limit: U8 = 64
+
+    def content(self) -> tuple:
+        """What a warning says: its relayed copies differ only in
+        ``hop_limit``.  Relays dedup the flood on it, and the DNS server
+        its rejections.  ``(sip, ch)`` alone would not do: a forgery may
+        echo a joiner's clear ``sip`` and ``ch``."""
+        return (self.sip, self.ch, self.public_key, self.rn, self.signature)
 
 
 @dataclass(frozen=True)

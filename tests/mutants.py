@@ -270,6 +270,16 @@ MUTANTS = [
         "tests": ["tests/test_dns_service.py::"
                   "test_forged_warning_arep_does_not_cancel_a_registration"],
     },
+    {
+        "name": "warning_relay",
+        "site": "a relay's dedup of the flooded DNS warning on its content "
+                "(BootstrapManager._relay_dns_warning)",
+        "file": "repro/bootstrap/autoconf.py",
+        "old": "key = msg.content()",
+        "new": "key = (msg.sip, msg.ch)",
+        "tests": ["tests/test_dns_service.py::"
+                  "test_a_relay_forwards_the_holders_warning_after_a_forged_one"],
+    },
 ]
 
 

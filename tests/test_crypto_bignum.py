@@ -1,15 +1,18 @@
 """RSA's modular exponentiation in libcrypto, against Python's ``pow``.
 
 :class:`~repro.crypto.bignum.ModExp` computes ``pow(base, exp, mod)``
-with OpenSSL's ``BN_mod_exp``.  ``pow`` is the oracle: the kernel must
-return exactly its value, so keys, signatures and verdicts stay the ones
-the pure-Python scheme gives.  The library is loaded at a backend's
-first RSA operation, never at import, and never by a simsig scenario.
+with OpenSSL's ``BN_mod_exp_mont`` on a cached Montgomery context per
+odd modulus (``BN_mod_exp`` for modulus 1 and even moduli).  ``pow`` is
+the oracle: the kernel must return exactly its value, whatever it has
+cached, so keys, signatures and verdicts stay the ones the pure-Python
+scheme gives.  The library is loaded at a backend's first RSA
+operation, never at import, and never by a simsig scenario.
 """
 
 import copy
 import gc
 import pickle
+from unittest import mock
 
 import hypothesis.strategies as st
 import pytest
@@ -52,6 +55,57 @@ def test_modexp_edges_equal_pow(modexp, base, exp, mod):
     assert modexp(base, exp, mod) == pow(base, exp, mod)
 
 
+@st.composite
+def call_sequences(draw):
+    """Calls on a few moduli -- odd, even and 1 -- each with a few
+    exponents, so the sequence revisits moduli, repeats and changes the
+    exponent on a cached modulus, and holds more odd moduli than the
+    shrunken cache of ``test_call_sequences_on_one_kernel_equal_pow``."""
+    moduli = draw(st.lists(
+        st.one_of(st.just(1), st.integers(2, 2**300)), min_size=1, max_size=10,
+    ))
+    exps = {mod: draw(st.lists(st.integers(0, 2**300), min_size=1, max_size=3))
+            for mod in moduli}
+    calls = []
+    for _ in range(draw(st.integers(1, 40))):
+        mod = draw(st.sampled_from(moduli))
+        base = draw(st.one_of(
+            st.integers(0, 50), st.integers(0, 3 * mod), st.integers(0, 2**600),
+        ))
+        calls.append((base, draw(st.sampled_from(exps[mod])), mod))
+    return calls
+
+
+@settings(max_examples=150, deadline=None)
+@given(call_sequences())
+def test_call_sequences_on_one_kernel_equal_pow(calls):
+    with mock.patch.object(bignum, "MONT_CACHE_SIZE", 3):
+        kernel = ModExp()
+        for base, exp, mod in calls:
+            assert kernel(base, exp, mod) == pow(base, exp, mod)
+        assert len(kernel._entries) <= 3
+        assert len(kernel._monts) == len(kernel._entries)
+
+
+def test_more_moduli_than_the_cache_holds_reuse_its_handles():
+    """Past the bound a miss takes the least recently used entry's
+    handles: cycling through more odd moduli than the cache holds
+    allocates no handle beyond it, and every result still equals pow."""
+    kernel = ModExp()
+    size = bignum.MONT_CACHE_SIZE
+    moduli = [(1 << 127) + 2 * i + 1 for i in range(size + 44)]
+    for rnd in range(2):
+        for i, mod in enumerate(moduli):
+            base, exp = 3 + i + rnd, (1 << 100) + i
+            assert kernel(base, exp, mod) == pow(base, exp, mod)
+    assert len(kernel._monts) == len(kernel._entries) == size
+    assert len(kernel._bignums) == 4 + 2 * size
+    assert list(kernel._entries) == moduli[-size:]  # least recently used first out
+    hot = moduli[-size]
+    assert kernel(2, 5, hot) == pow(2, 5, hot)
+    assert list(kernel._entries)[-1] == hot
+
+
 @pytest.mark.parametrize("base,exp,mod", [
     (-1, 3, 7), (3, -1, 7), (3, 3, 0), (3, 3, -7),
 ])
@@ -67,7 +121,7 @@ def pow_reference(bits):
     return ref
 
 
-@pytest.mark.parametrize("bits,seeds", [(512, 6), (1024, 3)])
+@pytest.mark.parametrize("bits,seeds", [(512, 20), (1024, 3)])
 def test_keys_and_signatures_equal_the_pow_reference(bits, seeds):
     backend, ref = RSABackend(bits=bits), pow_reference(bits)
     for i in range(seeds):
@@ -99,22 +153,36 @@ def test_keys_stay_picklable_and_a_copied_backend_gets_its_own_kernel():
 def test_the_library_loads_at_the_first_rsa_operation_and_is_freed_with_the_backend(
     monkeypatch,
 ):
+    """Every handle the kernel allocated -- its BN_CTX, its scratch
+    BIGNUMs, and each cached Montgomery context with its modulus and
+    exponent BIGNUMs, including those of entries evicted and reused --
+    is freed once, when the backend is collected."""
     freed = []
     free = bignum._free
 
-    def recording_free(lib, ctx, bignums):
-        freed.append((ctx, list(bignums)))
-        free(lib, ctx, bignums)
+    def recording_free(lib, ctx, bignums, monts):
+        freed.append((ctx, list(bignums), list(monts)))
+        free(lib, ctx, bignums, monts)
 
     monkeypatch.setattr(bignum, "_free", recording_free)
+    monkeypatch.setattr(bignum, "MONT_CACHE_SIZE", 8)  # keygen overflows it
     backend = RSABackend(bits=512)
     assert "_modexp" not in vars(backend)
-    backend.generate_keypair(b"freed")
+    keys = backend.generate_keypair(b"freed")
+    assert backend.verify(keys.public, b"m", backend.sign(keys.private, b"m"))
     kernel = backend._modexp
     assert kernel.version.startswith("OpenSSL")
-    handles = (kernel._ctx, [kernel._r, kernel._a, kernel._p, kernel._m])
-    assert all(handles[1]) and handles[0]
-    del backend, kernel
+    entries = list(kernel._entries.values())
+    assert len(entries) == 8
+    # The finalizer's lists hold the scratch BIGNUMs and each cached
+    # entry's handles, nothing else: evicted entries were reused, not lost.
+    scratch = [kernel._r, kernel._a, kernel._p, kernel._m]
+    cached = [bn for e in entries for bn in (e.m, e.p)]
+    assert sorted(kernel._bignums) == sorted(scratch + cached)
+    assert sorted(kernel._monts) == sorted(e.mont for e in entries)
+    assert kernel._ctx and all(kernel._bignums) and all(kernel._monts)
+    handles = (kernel._ctx, list(kernel._bignums), list(kernel._monts))
+    del backend, kernel, entries
     gc.collect()
     assert freed == [handles]
 

@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.crypto import rsa
 from repro.crypto.bignum import ModExp
 from repro.crypto.rsa import (
     RSABackend,
+    _candidate_from_seed,
     generate_prime,
     is_probable_prime,
     modinv,
@@ -45,6 +47,60 @@ def test_generate_prime_deterministic_and_sized(modexp):
     assert p1.bit_length() == 256
     assert is_probable_prime(p1, modexp)
     assert generate_prime(b"seed", b"q", 256, modexp) != p1
+
+
+def sequential_prime(seed, label, bits):
+    """The prime search without a sieve or a kernel: ``is_probable_prime``
+    on ``pow``, on each odd candidate in turn."""
+    n = _candidate_from_seed(seed, label, bits)
+    while not is_probable_prime(n, pow):
+        n += 2
+    return n
+
+
+@pytest.mark.parametrize("window", [rsa._SIEVE_WINDOW, 5])
+def test_generate_prime_equals_a_sequential_scan_on_pow(modexp, monkeypatch, window):
+    """The sieve skips exactly what trial division rejects and the
+    survivors run the same rounds in the same order, so the sieved
+    search finds the sequential scan's prime; a 5-candidate window (the
+    production one rarely ends before a 64- to 160-bit prime) puts most
+    primes past the first window."""
+    monkeypatch.setattr(rsa, "_SIEVE_WINDOW", window)
+    past_first_window = 0
+    for i in range(300):
+        seed, bits = f"sieve-oracle/{i}".encode(), 64 + i % 97
+        expected = sequential_prime(seed, b"p", bits)
+        assert generate_prime(seed, b"p", bits, modexp) == expected
+        start = _candidate_from_seed(seed, b"p", bits)
+        past_first_window += expected >= start + 2 * window
+    if window == 5:
+        assert past_first_window > 250
+
+
+def test_generate_prime_past_the_first_production_window(modexp):
+    """Seeds whose 160-bit prime lies past the first production window."""
+    span = 2 * rsa._SIEVE_WINDOW
+    found = 0
+    for i in range(2000):
+        seed = f"sieve-gap/{i}".encode()
+        expected = sequential_prime(seed, b"q", 160)
+        if expected - _candidate_from_seed(seed, b"q", 160) >= span:
+            assert generate_prime(seed, b"q", 160, modexp) == expected
+            found += 1
+            if found == 3:
+                break
+    assert found == 3
+
+
+@pytest.mark.parametrize("bits", range(2, 13))
+def test_generate_prime_at_tiny_sizes_scans_the_small_primes(modexp, bits):
+    """A candidate <= 251 may itself be one of the small primes: the
+    search tests it in turn with ``is_probable_prime``, then sieves."""
+    for i in range(40):
+        seed = f"tiny/{i}".encode()
+        assert generate_prime(seed, b"p", bits, modexp) == sequential_prime(
+            seed, b"p", bits
+        )
 
 
 def test_modinv():

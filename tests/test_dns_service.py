@@ -198,11 +198,12 @@ def test_forged_update_reply_is_rejected_by_the_client():
     assert outcomes == [False]
 
 
-def _probe_held_address(sc):
-    """A joiner (n2, re-bootstrapping) probes n0's address with the name
-    "thief.manet" and ch 1234; returns n0, the address's holder."""
+def _probe_held_address(sc, joiner=2):
+    """A joiner (``sc.hosts[joiner]``, re-bootstrapping) probes n0's
+    address with the name "thief.manet" and ch 1234; returns n0, the
+    address's holder."""
     victim = sc.hosts[0]
-    joiner = sc.hosts[2]
+    joiner = sc.hosts[joiner]
     joiner.abandon_identity()
     boot = joiner.bootstrap
     boot.state = "probing"
@@ -286,6 +287,30 @@ def test_forged_warning_first_does_not_silence_the_holders_warning():
     assert verdicts["dns.warning_arep.rejected.bad_cga"] == 1
     assert verdicts["dns.warning_arep.accepted"] == 1
     assert "thief.manet" not in sc.dns_server.table
+
+
+def test_a_relay_forwards_the_holders_warning_after_a_forged_one():
+    """In a 4-host chain the DNS sits in the middle, so the holder n0 is
+    two hops from it and its warning reaches the DNS only through n1.
+    A forged warning echoing the joiner's sip and ch reaches n1 first;
+    relays dedup a warning on its content, not on (sip, ch), so n1 still
+    relays the genuine one and the registration is cancelled."""
+    sc = chain_scenario(n=4, seed=41).build()
+    sc.bootstrap_all()
+    victim = _probe_held_address(sc, joiner=3)
+    attacker = sc.hosts[2]
+    assert victim.link_id not in sc.medium.neighbors(sc.dns_node.link_id)
+    ledger, verdicts = sc.dns_server.ledger, sc.metrics.verdicts
+    while ledger.find_registration(victim.ip, 1234, sc.sim.now) is None:
+        assert sc.sim.step()
+    attacker.broadcast(AREP(
+        sip=victim.ip, route_record=(), public_key=attacker.public_key,
+        rn=attacker.cga_params.rn, ch=1234, to_dns=True,
+        signature=attacker.sign(signing.arep_payload(victim.ip, 1234)),
+    ))
+    sc.run(duration=10.0)
+    assert "thief.manet" not in sc.dns_server.table
+    assert verdicts["dns.warning_arep.accepted"] == 1
 
 
 def test_dns_answers_route_discovery_for_anycast():
