@@ -28,9 +28,10 @@ first-class artifact:
   across hosts (``campaign run --shard i/N``), and
   :mod:`~repro.campaign.merge` fuses the shard checkpoints back into
   one artifact byte-identical to a single-host run (gaps resumable);
-* :mod:`~repro.campaign.aggregate` persists per-run summaries as JSONL
-  (with a recovery parser for in-flight/crashed files) and reduces
-  them to a grouped report;
+* :mod:`~repro.campaign.aggregate` persists per-run summaries as JSONL,
+  reads them back through one reader that also takes in-flight and
+  crashed files (a torn final line is dropped with a warning), and
+  reduces them to a grouped report in one order-independent pass;
 * :mod:`~repro.campaign.baseline` diffs two result sets to catch
   PDR/latency regressions across PRs;
 * ``python -m repro.campaign run|resume|merge|report|compare`` drives
@@ -38,12 +39,10 @@ first-class artifact:
 """
 
 from repro.campaign.aggregate import (
-    StreamingAggregator,
     aggregate,
     load_results,
     read_jsonl_partial,
     report_text,
-    tail_jsonl,
     write_json_artifact,
     write_jsonl,
     write_report_artifacts,
@@ -83,7 +82,6 @@ __all__ = [
     "LocalExecutor",
     "MergeError",
     "RunSpec",
-    "StreamingAggregator",
     "aggregate",
     "auto_batch_size",
     "compare",
@@ -101,7 +99,6 @@ __all__ = [
     "run_campaign",
     "shard_payloads",
     "spec_fingerprint",
-    "tail_jsonl",
     "validate_merge_conflicts_file",
     "write_json_artifact",
     "write_jsonl",

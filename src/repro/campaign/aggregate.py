@@ -2,27 +2,26 @@
 
 Records are grouped by their sweep parameters (replicates of the same
 grid point share a group) and each numeric summary column is reduced to
-mean/min/max.
+mean/min/max in one pass over the records.
 Everything is JSON-clean and deterministically ordered, so reports diff
 cleanly across PRs and double as regression baselines.
 
-Aggregation is *streaming*: :class:`StreamingAggregator` folds records
-one at a time into constant-memory :class:`~repro.obs.sketch.MetricSketch`
-accumulators, so a 10^5-run campaign aggregates without ever buffering
-per-column value lists.  Means are exactly rounded
-(:class:`~repro.obs.sketch.ExactSum`), hence independent of record
-order -- a live ``report --follow`` that consumes records in completion
-order produces the byte-identical report a post-hoc pass over the
-finalized, index-sorted file does.
+A report does not depend on record order: a mean is the correctly
+rounded ``math.fsum`` of its column, groups sort by params and failed
+runs by index.  So a live ``report --follow`` that sees records in
+completion order produces the byte-identical report a post-hoc pass
+over the finalized, index-sorted file does.  :func:`read_jsonl_partial`
+is the one reader of a results file, finished or in flight.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
+import sys
 
 from repro.metrics.reports import format_table
-from repro.obs.sketch import MetricSketch
 
 #: Columns shown in the human-readable report table (all columns are
 #: still present in ``report.json``).
@@ -64,105 +63,59 @@ def write_report_artifacts(out_dir, report: dict) -> None:
         fh.write(report_text(report) + "\n")
 
 
-def read_jsonl(path) -> list[dict]:
-    records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records
+def read_jsonl_partial(path) -> tuple[list[dict], list[str]]:
+    """The one reader of a results file, finished, in flight or crashed.
 
-
-def tail_jsonl(path, offset: int = 0) -> tuple[list[dict], list[str], int]:
-    """Incremental recovery parser: parse records appended since ``offset``.
-
-    The primitive behind both crash recovery and live ``report
-    --follow``: instead of re-reading the whole file, it seeks to a
-    byte ``offset`` (0 for the first read, the previously returned
-    offset afterwards) and parses only what the append-only writer has
-    added since.  Returns ``(records, warnings, next_offset)`` where
-    ``next_offset`` covers exactly the complete records consumed.
-
-    A final line that does not parse -- torn by a crash mid-write, or
-    simply still in flight from a live writer -- is *not* consumed: it
-    is reported in ``warnings`` and excluded from ``next_offset``, so a
-    later call re-reads it once (if ever) it completes.  A final line
-    that parses but lacks its newline is a complete record whose
-    newline has not landed yet; it is consumed (JSON objects have no
+    The streaming runner appends one fsync'd line per record, so the
+    only damage a crash can inflict is a *torn final line* (the write
+    that was in flight; for a live reader, simply the next record still
+    being written).  That tail is discarded and reported in the
+    returned warnings; the complete records before it are kept.  A
+    final line that parses but lacks its newline is a complete record
+    whose newline has not landed yet, and is kept (JSON objects have no
     valid proper prefix, so this is unambiguous).  Malformed content
     anywhere *before* the final line means the file was not produced by
     the append-only writer and raises ``ValueError`` rather than
     silently dropping data.
+
+    Returns ``(records, warnings)``.
     """
     with open(path, "rb") as fh:
-        if offset:
-            fh.seek(offset)
-        chunk = fh.read()
+        lines = fh.read().split(b"\n")
+    # only the last non-blank line can be torn by a crash or a live writer
+    last = max((n for n, raw in enumerate(lines) if raw.strip()), default=-1)
     records: list[dict] = []
     warnings: list[str] = []
-    consumed = 0
-    lines = chunk.split(b"\n")
-    fragment = lines.pop()  # bytes after the last newline ("" if none)
-    for lineno, raw in enumerate(lines, 1):
-        stripped = raw.strip()
-        if not stripped:
-            consumed += len(raw) + 1
+    for n, raw in enumerate(lines):
+        if not raw.strip():
             continue
         try:
-            record = json.loads(stripped)
+            record = json.loads(raw)
             if not isinstance(record, dict):
                 raise ValueError("not a JSON object")
         except ValueError as exc:
-            if lineno == len(lines) and not fragment.strip():
-                warnings.append(
-                    f"{path}: discarded torn final line {lineno} "
-                    f"(crash mid-write: {exc})"
-                )
+            if n == last:
+                warnings.append(f"{path}: discarded torn final line {n + 1} "
+                                f"(crash mid-write: {exc})")
                 break
-            raise ValueError(f"{path}: corrupt line {lineno}: {exc}") from exc
+            raise ValueError(f"{path}: corrupt line {n + 1}: {exc}") from exc
         records.append(record)
-        consumed += len(raw) + 1
-    else:
-        if fragment.strip():
-            try:
-                record = json.loads(fragment.strip())
-                if not isinstance(record, dict):
-                    raise ValueError("not a JSON object")
-            except ValueError as exc:
-                warnings.append(
-                    f"{path}: discarded torn final line {len(lines) + 1} "
-                    f"(crash mid-write: {exc})"
-                )
-            else:
-                records.append(record)
-                consumed += len(fragment)
-    return records, warnings, offset + consumed
-
-
-def read_jsonl_partial(path, offset: int = 0) -> tuple[list[dict], list[str]]:
-    """Recovery parser for an in-flight or crash-interrupted results file.
-
-    The streaming runner appends one fsync'd line per record, so the
-    only damage a crash can inflict is a *torn final line* (the write
-    that was in flight).  That tail is discarded and reported in the
-    returned warnings; the complete records before it are kept.
-    Malformed content anywhere *other* than the final line means the
-    file was not produced by the append-only writer and raises
-    ``ValueError`` rather than silently dropping data.
-
-    Returns ``(records, warnings)``; incremental consumers that need to
-    resume where they left off use :func:`tail_jsonl` directly.
-    """
-    records, warnings, _ = tail_jsonl(path, offset)
     return records, warnings
 
 
 def load_results(path) -> list[dict]:
-    """Load records from a results file or a campaign output directory."""
+    """Load records from a results file or a campaign output directory.
+
+    Reads through :func:`read_jsonl_partial`, so an in-flight or crashed
+    file loads its complete records; each torn-tail warning goes to
+    stderr.
+    """
     if os.path.isdir(path):
         path = os.path.join(path, "results.jsonl")
-    return read_jsonl(path)
+    records, warnings = read_jsonl_partial(path)
+    for warning in warnings:
+        print(f"warning: {warning}", file=sys.stderr)
+    return records
 
 
 def group_key(record: dict) -> str:
@@ -170,96 +123,57 @@ def group_key(record: dict) -> str:
     return json.dumps(record.get("params", {}), sort_keys=True)
 
 
-class StreamingAggregator:
-    """Constant-memory, order-independent reduction of run records.
+def aggregate(records: list[dict]) -> dict:
+    """Reduce records to per-group mean/min/max of every summary column.
 
-    Feed records one at a time with :meth:`add` -- in any order: file
-    order, completion order, index order -- and :meth:`report` yields
-    the same bytes, because per-column state is a
-    :class:`~repro.obs.sketch.MetricSketch` (exactly-rounded mean,
-    exact min/max) rather than a buffered value list, and failed-run
-    entries are emitted sorted by run index.
-
-    Memory is O(groups x columns + failures), independent of run count.
+    One pass collects each group's numeric column values as floats; a
+    mean is ``math.fsum(values) / len(values)``, the correctly rounded
+    sum, which depends only on the values and never on their order.
+    Groups are emitted sorted by params and failed runs sorted by run
+    index, so the same records in any order (file order, completion
+    order, index order) give the same report bytes.
     """
-
-    def __init__(self):
-        self._groups: dict[str, dict] = {}
-        self._failed: list[tuple] = []
-        self._runs = 0
-        self._ok = 0
-        self._quarantined = 0
-
-    def add(self, record: dict) -> None:
-        self._runs += 1
+    groups: dict[str, dict] = {}
+    failed: list[tuple] = []
+    runs = ok = quarantined = 0
+    for record in records:
+        runs += 1
         if record.get("status") != "ok":
             # Quarantined runs (a worker-killer that exhausted its retry
             # budget -- see the runner) are failures with their own
             # count: they carry no summary, so they can never leak into
-            # the metric sketches below, but they must stay visible in
+            # the metric columns below, but they must stay visible in
             # the failed list rather than silently shrinking the matrix.
             if record.get("status") == "quarantined":
-                self._quarantined += 1
-            self._failed.append((
-                record.get("index", self._runs),
+                quarantined += 1
+            failed.append((
+                record.get("index", runs),
                 {"run_id": record["run_id"], "status": record["status"],
                  "error": record.get("error", "")},
             ))
-            return
-        self._ok += 1
-        group = self._groups.setdefault(
-            group_key(record), {"runs": 0, "columns": {}}
-        )
+            continue
+        ok += 1
+        group = groups.setdefault(group_key(record), {"runs": 0, "columns": {}})
         group["runs"] += 1
         columns = group["columns"]
         for name, value in record["summary"].items():
             if isinstance(value, (int, float)):
-                sketch = columns.get(name)
-                if sketch is None:
-                    sketch = columns[name] = MetricSketch()
-                sketch.add(value)
-
-    def add_all(self, records) -> "StreamingAggregator":
-        for record in records:
-            self.add(record)
-        return self
-
-    @property
-    def runs_seen(self) -> int:
-        return self._runs
-
-    def report(self) -> dict:
-        """The aggregate report over everything added so far."""
-        groups = []
-        for key in sorted(self._groups):
-            group = self._groups[key]
-            groups.append({
-                "params": json.loads(key),
-                "runs": group["runs"],
-                "metrics": {
-                    name: group["columns"][name].stats()
-                    for name in sorted(group["columns"])
-                },
-            })
-        return {
-            "runs": self._runs,
-            "ok": self._ok,
-            "quarantined": self._quarantined,
-            "failed": [entry for _, entry in sorted(
-                self._failed, key=lambda item: item[0]
-            )],
-            "groups": groups,
-        }
-
-
-def aggregate(records: list[dict]) -> dict:
-    """Reduce records to per-group mean/min/max of every summary column.
-
-    Implemented on :class:`StreamingAggregator`, so a one-shot
-    aggregation and an incremental one over the same records are
-    byte-identical.
-    """
-    return StreamingAggregator().add_all(records).report()
+                columns.setdefault(name, []).append(float(value))
+    return {
+        "runs": runs,
+        "ok": ok,
+        "quarantined": quarantined,
+        "failed": [entry for _, entry in sorted(failed, key=lambda item: item[0])],
+        "groups": [{
+            "params": json.loads(key),
+            "runs": groups[key]["runs"],
+            "metrics": {
+                name: {"mean": math.fsum(values) / len(values),
+                       "min": min(values), "max": max(values)}
+                for name, values in sorted(groups[key]["columns"].items())
+            },
+        } for key in sorted(groups)],
+    }
 
 
 def _value_label(value) -> str:

@@ -11,11 +11,11 @@ deterministic and sorted, comparison is a run_id-aligned walk flagging:
   treated as a regression).
 
 Because the runner streams and resumes campaigns, a ``current`` record
-list may come from an in-flight sweep (via
-:func:`~repro.campaign.aggregate.read_jsonl_partial`); its missing
-runs then show up as ``removed`` -- visible in the comparison text, and
-fatal under the CLI's ``--strict`` gate -- rather than crashing the
-walk.  Finalized outputs are byte-identical regardless of worker count,
+list may come from an in-flight sweep (the CLI reads every results file
+through :func:`~repro.campaign.aggregate.read_jsonl_partial`, which
+drops a torn tail with a warning); its missing runs then show up as
+``removed`` -- visible in the comparison text, and fatal under the
+CLI's ``--strict`` gate -- rather than crashing the walk.  Finalized outputs are byte-identical regardless of worker count,
 batch size, or resume history, so comparisons never need to care how a
 results file was produced.
 """

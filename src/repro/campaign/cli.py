@@ -24,11 +24,13 @@ merge    Fuse ``campaign run --shard i/N`` checkpoint directories into
 report   Re-render the aggregate table from a results file/directory.
          Works on an in-flight or interrupted campaign: partial results
          aggregate normally and a torn tail is skipped with a warning.
-         ``--follow`` tails a live campaign incrementally (byte-offset
-         resume, no full-file re-reads) until all expected runs land,
-         then prints the final aggregate -- byte-identical to a
-         post-hoc report.
+         ``--follow`` re-reads a live campaign's results on each poll
+         until all expected runs land, then prints the final
+         aggregate -- byte-identical to a post-hoc report.
 compare  Diff two results files; exit 1 when regressions are found.
+         Either file may be in flight: a torn tail is skipped with a
+         warning and the missing runs show as removed (an error only
+         under ``--strict``).
 explain  Replay one run of a finished campaign directory (by run id or
          index) with the trace recorder on, check that the replayed
          record equals its ``results.jsonl`` line, and print its trace
@@ -48,12 +50,7 @@ import json
 import os
 import sys
 
-from repro.campaign.aggregate import (
-    aggregate,
-    load_results,
-    read_jsonl_partial,
-    report_text,
-)
+from repro.campaign.aggregate import aggregate, load_results, report_text
 from repro.campaign.baseline import compare, comparison_text
 from repro.campaign.checkpoint import Checkpoint
 from repro.campaign.merge import discover_shard_dirs, merge_shards
@@ -184,8 +181,7 @@ def _cmd_report(args) -> int:
             # directory holds only its slice of the matrix
             total = len(Checkpoint(CampaignSpec.from_file(spec_path)).payloads)
 
-        def on_update(aggregator, _fresh):
-            seen = aggregator.runs_seen
+        def on_update(seen):
             suffix = f"/{total}" if total is not None else ""
             print(f"follow: {seen}{suffix} runs aggregated",
                   file=sys.stderr, flush=True)
@@ -200,10 +196,7 @@ def _cmd_report(args) -> int:
                   "run the campaign first (or pass --follow to wait for it)",
                   file=sys.stderr)
             return 2
-        records, warnings = read_jsonl_partial(results_path)
-        for warning in warnings:
-            print(f"warning: {warning}", file=sys.stderr)
-        report = aggregate(records)
+        report = aggregate(load_results(results_path))
 
     if args.json:
         json.dump(report, sys.stdout, indent=2, sort_keys=True)
@@ -380,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.add_argument("--json", action="store_true",
                           help="emit the full report as JSON")
     p_report.add_argument("--follow", action="store_true",
-                          help="tail a live campaign incrementally until "
+                          help="re-read a live campaign on each poll until "
                                "all expected runs land (waits for the "
                                "results file to appear)")
     p_report.add_argument("--interval", type=float, default=0.5,

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from repro.ipv6.address import IPv6Address
 
 
-def _quantile_sorted(ordered: list[float], q: float) -> float:
+def _percentile_sorted(ordered: list[float], q: float) -> float:
     """Linear-interpolation quantile of an already-sorted list."""
     if not ordered:
         return 0.0
@@ -44,7 +44,7 @@ def percentile(values: list[float], q: float) -> float:
     Taking several quantiles of one list?  Use :func:`percentiles`,
     which sorts once instead of per call.
     """
-    return _quantile_sorted(sorted(values), q)
+    return _percentile_sorted(sorted(values), q)
 
 
 def percentiles(values: list[float], qs) -> list[float]:
@@ -56,7 +56,7 @@ def percentiles(values: list[float], qs) -> list[float]:
     big per-flow latency lists of heavy campaigns.
     """
     ordered = sorted(values)
-    return [_quantile_sorted(ordered, q) for q in qs]
+    return [_percentile_sorted(ordered, q) for q in qs]
 
 
 @dataclass
@@ -318,45 +318,3 @@ class MetricsCollector:
         if self._crypto_stats_provider is not None:
             out["crypto_stats"] = self._crypto_stats_provider()
         return out
-
-    @classmethod
-    def merge(cls, collectors) -> "MetricsCollector":
-        """Combine several collectors (e.g. one per campaign run) into one.
-
-        Counters sum, flow stats and latency lists concatenate.  The
-        per-node bootstrap dicts are keyed by node name, which repeats
-        across runs; ``dad_rounds`` sums on collision and ``dad_time``
-        keeps the worst (max) time, so the merged view stays a
-        conservative aggregate rather than silently overwriting.
-        """
-        merged = cls()
-        for coll in collectors:
-            for k, v in coll.msgs_sent.items():
-                merged.msgs_sent[k] += v
-            for k, v in coll.msgs_received.items():
-                merged.msgs_received[k] += v
-            for k, v in coll.bytes_sent.items():
-                merged.bytes_sent[k] += v
-            for key, st in coll.flows.items():
-                agg = merged.flows[key]
-                agg.sent += st.sent
-                agg.delivered += st.delivered
-                agg.acked += st.acked
-                agg.dropped += st.dropped
-                agg.latencies.extend(st.latencies)
-            for k, v in coll.verdicts.items():
-                merged.verdicts[k] += v
-            for k, v in coll.crypto_ops.items():
-                merged.crypto_ops[k] += v
-            for k, v in coll.dad_rounds.items():
-                merged.dad_rounds[k] += v
-            for k, v in coll.dad_time.items():
-                merged.dad_time[k] = max(v, merged.dad_time.get(k, 0.0))
-            merged.collisions_detected += coll.collisions_detected
-            merged.name_conflicts_detected += coll.name_conflicts_detected
-            merged.discoveries_started += coll.discoveries_started
-            merged.discoveries_succeeded += coll.discoveries_succeeded
-            merged.discovery_latencies.extend(coll.discovery_latencies)
-            merged.creps_used += coll.creps_used
-            merged.rerrs_received += coll.rerrs_received
-        return merged

@@ -1,82 +1,22 @@
-"""Live tailing of an in-flight campaign for ``report --follow``.
+"""Live follow of an in-flight campaign for ``report --follow``.
 
-:class:`ResultsTail` wraps :func:`repro.campaign.aggregate.tail_jsonl`
-with the state a *live* consumer needs: it remembers the byte offset of
-the last complete record (so each poll parses only the bytes the runner
-appended since -- never a full-file re-read in steady state), and it
-survives the runner's finalize step, which atomically ``os.replace``\\ s
-the completion-ordered stream with an index-sorted rewrite.  A replace
-is detected by inode change (or size shrink), the offset rewinds to
-zero once, and per-index dedup keeps already-consumed records from
-being double-counted.
-
-:func:`follow_report` runs the poll loop: it waits for the results file
-to appear, folds fresh records into a
-:class:`~repro.campaign.aggregate.StreamingAggregator`, and stops when
-the expected run count is reached.  Because the aggregator is
-order-independent (exactly-rounded sums, sorted emission), the report
-it returns is byte-identical to a post-hoc ``campaign report`` over the
-finalized file.
+:func:`follow_report` polls the results file until the expected run
+count has landed.  Each poll re-reads the whole file through
+:func:`~repro.campaign.aggregate.read_jsonl_partial` and keeps each run
+index once, so a record still mid-write (a torn final line) is simply
+picked up whole by a later poll, and the runner's finalize step, which
+atomically ``os.replace``\\ s the completion-ordered stream with an
+index-sorted rewrite, changes nothing: the rewrite holds the same
+records.  Because :func:`~repro.campaign.aggregate.aggregate` does not
+depend on record order, the report it returns is byte-identical to a
+post-hoc ``campaign report`` over the finalized file.
 """
 
 from __future__ import annotations
 
-import os
 import time
 
-from repro.campaign.aggregate import StreamingAggregator, tail_jsonl
-
-
-class ResultsTail:
-    """Incremental, replace-tolerant reader of a live ``results.jsonl``.
-
-    ``poll()`` returns the records appended since the previous poll.
-    Torn-tail warnings are swallowed: with a live writer a torn final
-    line just means the next record is mid-write, and since
-    :func:`tail_jsonl` does not consume it, a later poll picks it up
-    whole.  Memory is the byte offset plus one int per consumed run
-    index (the dedup set that makes the rewind-after-replace safe).
-    """
-
-    def __init__(self, path):
-        self.path = os.fspath(path)
-        self._offset = 0
-        self._file_id = None
-        self._seen: set = set()
-
-    def poll(self) -> list[dict]:
-        """Records appended since the last poll (empty if none/missing)."""
-        try:
-            stat = os.stat(self.path)
-        except FileNotFoundError:
-            return []
-        file_id = (stat.st_dev, stat.st_ino)
-        if self._file_id is not None and (
-            file_id != self._file_id or stat.st_size < self._offset
-        ):
-            # finalize replaced the stream with its sorted rewrite (or the
-            # file shrank some other way): rewind once, dedup below
-            self._offset = 0
-        self._file_id = file_id
-        try:
-            records, _warnings, self._offset = tail_jsonl(self.path, self._offset)
-        except ValueError:
-            current = os.stat(self.path)
-            if (current.st_dev, current.st_ino) != file_id:
-                # the file was replaced between stat and read, so the old
-                # offset landed mid-record in the new file; rewind next poll
-                self._file_id = None
-                return []
-            raise
-        fresh = []
-        for record in records:
-            index = record.get("index")
-            if index is not None:
-                if index in self._seen:
-                    continue
-                self._seen.add(index)
-            fresh.append(record)
-        return fresh
+from repro.campaign.aggregate import aggregate, read_jsonl_partial
 
 
 def follow_report(
@@ -87,30 +27,33 @@ def follow_report(
     on_update=None,
     sleep=time.sleep,
 ) -> dict:
-    """Tail a (possibly not-yet-existing) results file to completion.
+    """Follow a (possibly not-yet-existing) results file to completion.
 
-    Polls every ``interval`` seconds, folding fresh records into a
-    streaming aggregator, until ``total`` records have been seen (pass
-    the run count the directory's checkpoint owns: the whole matrix, or
-    one shard's slice) or ``max_polls`` polls
-    have elapsed (``None`` = unbounded, for callers that stop via
-    KeyboardInterrupt).  ``on_update(aggregator, fresh_records)`` fires
-    after every poll that yielded new records.  Returns the final
-    report dict -- byte-identical to a post-hoc
+    Polls every ``interval`` seconds until ``total`` distinct run
+    indices have been seen (pass the run count the directory's
+    checkpoint owns: the whole matrix, or one shard's slice) or
+    ``max_polls`` polls have elapsed (``None`` = unbounded, for callers
+    that stop via KeyboardInterrupt).  ``on_update(runs_seen)`` fires
+    after every poll that found new runs.  Returns the final report
+    dict -- byte-identical to a post-hoc
     :func:`~repro.campaign.aggregate.aggregate` over the same records.
     """
-    aggregator = StreamingAggregator()
-    tail = ResultsTail(results_path)
+    seen: dict = {}
     polls = 0
     try:
         while True:
-            fresh = tail.poll()
-            if fresh:
-                for record in fresh:
-                    aggregator.add(record)
-                if on_update is not None:
-                    on_update(aggregator, fresh)
-            if total is not None and aggregator.runs_seen >= total:
+            try:
+                # a torn final line is a record still being written: the
+                # next poll reads it whole, so its warning is dropped
+                records, _torn = read_jsonl_partial(results_path)
+            except FileNotFoundError:
+                records = []
+            before = len(seen)
+            for record in records:
+                seen.setdefault(record.get("index"), record)
+            if len(seen) > before and on_update is not None:
+                on_update(len(seen))
+            if total is not None and len(seen) >= total:
                 break
             polls += 1
             if max_polls is not None and polls >= max_polls:
@@ -119,4 +62,4 @@ def follow_report(
     except KeyboardInterrupt:
         # an unbounded follow ends with Ctrl-C: report what we saw
         pass
-    return aggregator.report()
+    return aggregate(list(seen.values()))

@@ -1,12 +1,16 @@
 """Campaign engine: expansion, execution, aggregation, baselines, CLI."""
 
 import json
+import math
+import random
 import re
 import shutil
 import time
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.campaign import (
     CampaignSpec,
@@ -22,6 +26,9 @@ from repro.campaign import (
 from repro.campaign.runner import RunTimeout, deadline
 from repro.campaign.spec import set_by_path
 from repro.sim.rng import spawn_seed
+
+
+REFERENCE = Path(__file__).resolve().parent.parent / "campaigns" / "reference"
 
 
 def tiny_spec(**overrides) -> CampaignSpec:
@@ -365,7 +372,7 @@ def test_quarantined_records_count_as_failures_never_pollute_metrics():
     assert report["quarantined"] == 2
     # quarantined runs land in the failed column...
     assert {f["status"] for f in report["failed"]} == {"quarantined"}
-    # ...and the surviving groups' sketches reduce over the ok runs
+    # ...and the surviving groups' columns reduce over the ok runs
     # only: each group's run count dropped by its quarantined member and
     # every stat still lies inside the clean campaign's envelope
     clean_groups = {json.dumps(g["params"], sort_keys=True): g
@@ -382,6 +389,90 @@ def test_quarantined_records_count_as_failures_never_pollute_metrics():
     # a clean campaign reports the key at zero and stays silent in text
     assert clean["quarantined"] == 0
     assert "quarantined" not in report_text(clean)
+
+
+def _fake_records(n_groups=3, replicates=10, seed=13):
+    rng = random.Random(seed)
+    records = []
+    index = 0
+    for g in range(n_groups):
+        for _ in range(replicates):
+            records.append({
+                "run_id": f"fake-{index:04d}",
+                "index": index,
+                "status": "ok",
+                "params": {"router": f"r{g}"},
+                "summary": {
+                    "pdr": rng.uniform(0.5, 1.0),
+                    "latency_p50": rng.uniform(0.001, 0.2),
+                    "control_bytes": float(rng.randint(1000, 9000)),
+                },
+            })
+            index += 1
+    return records
+
+
+def test_exact_mode_report_has_no_sketch_fields():
+    report = aggregate(_fake_records())
+    assert "summary_mode" not in report
+    for group in report["groups"]:
+        for stats in group["metrics"].values():
+            assert set(stats) == {"mean", "min", "max"}
+
+
+@st.composite
+def campaign_records(draw):
+    """Up to 30 runs in up to three param groups: ok runs mix an int column,
+    float columns and one that naive summation rounds differently in
+    different orders (1e16, 1.0, -1e16); error, timeout and quarantined
+    runs carry no summary."""
+    records = []
+    for index in range(draw(st.integers(0, 30))):
+        status = draw(st.sampled_from(
+            ["ok", "ok", "ok", "error", "timeout", "quarantined"]))
+        record = {"run_id": f"p-{index:04d}", "index": index,
+                  "status": status,
+                  "params": {"router": draw(st.sampled_from("abc"))}}
+        if status == "ok":
+            record["summary"] = {
+                "pdr": draw(st.floats(0.0, 1.0)),
+                "control_bytes": draw(st.integers(0, 10**6)),
+                "latency_p95": draw(st.floats(-1e12, 1e12)),
+                "cancel": draw(st.sampled_from([1e16, 1.0, -1e16])),
+                "label": "not a number",
+            }
+        else:
+            record["error"] = f"{status} in run {index}"
+        records.append(record)
+    return records
+
+
+@settings(max_examples=150, deadline=None)
+@given(campaign_records(), st.data())
+def test_aggregate_is_one_order_independent_pass(records, data):
+    shuffled = data.draw(st.permutations(records))
+    report = aggregate(shuffled)
+    assert json.dumps(report, sort_keys=True) == \
+        json.dumps(aggregate(records), sort_keys=True)
+
+    ok = [r for r in records if r["status"] == "ok"]
+    assert (report["runs"], report["ok"]) == (len(records), len(ok))
+    assert report["quarantined"] == sum(
+        r["status"] == "quarantined" for r in records)
+    assert [f["run_id"] for f in report["failed"]] == [
+        r["run_id"] for r in records if r["status"] != "ok"]
+    assert [g["params"] for g in report["groups"]] == [
+        {"router": router} for router in sorted({r["params"]["router"]
+                                                 for r in ok})]
+    for group in report["groups"]:
+        members = [r for r in ok if r["params"] == group["params"]]
+        assert group["runs"] == len(members)
+        assert sorted(group["metrics"]) == [
+            "cancel", "control_bytes", "latency_p95", "pdr"]
+        for name, stats in group["metrics"].items():
+            column = [float(r["summary"][name]) for r in members]
+            assert stats == {"mean": math.fsum(column) / len(column),
+                             "min": min(column), "max": max(column)}
 
 
 def test_compare_flags_pdr_and_status_regressions():
@@ -432,6 +523,27 @@ def test_cli_compare_strict_fails_on_matrix_drift(tmp_path, capsys):
     assert "drifted" in capsys.readouterr().out
     # strict with an identical matrix still passes
     assert main(["compare", "--strict", str(base_path), str(base_path)]) == 0
+
+
+def test_cli_compare_on_an_in_flight_results_file(tmp_path, capsys):
+    """A torn copy of the anchor (a sweep still writing its results)
+    compares like any in-flight file: the torn tail is dropped with a
+    warning on stderr and the runs not yet written show as removed,
+    fatal only under --strict."""
+    from repro.campaign.cli import main
+
+    baseline = REFERENCE / "results.jsonl"
+    current = tmp_path / "cur.jsonl"
+    current.write_bytes(baseline.read_bytes()[:6000])
+    assert main(["compare", str(baseline), str(current)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err.startswith(
+        f"warning: {current}: discarded torn final line 6")
+    assert "5 matched run(s), 0 regression(s)" in captured.out
+    assert ("removed runs: reference-0005, reference-0006, reference-0007"
+            in captured.out)
+    assert main(["compare", "--strict", str(baseline), str(current)]) == 1
+    assert "drifted" in capsys.readouterr().out
 
 
 def test_compare_zero_latency_baseline_is_not_a_regression():
@@ -553,7 +665,7 @@ def test_cli_run_report_compare(tmp_path, capsys):
 
 # -- explain: replay one run with the trace on -------------------------------
 
-REFERENCE_FAULTS = Path(__file__).resolve().parent.parent / "campaigns" / "reference-faults"
+REFERENCE_FAULTS = REFERENCE.parent / "reference-faults"
 
 
 @pytest.fixture

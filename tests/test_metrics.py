@@ -106,7 +106,7 @@ def test_percentile_interpolates():
         percentile(vals, 101.0)
 
 
-def _populated_collector(latency_scale=1.0):
+def _populated_collector():
     m = MetricsCollector()
     m.on_send("RREQ", 100)
     m.on_send("DATA", 500)
@@ -114,7 +114,7 @@ def _populated_collector(latency_scale=1.0):
     for i in range(4):
         m.on_data_sent(A, B)
     for i in range(3):
-        m.on_data_delivered(A, B, latency_scale * (i + 1) * 0.1)
+        m.on_data_delivered(A, B, (i + 1) * 0.1)
     m.on_data_dropped(A, B)
     m.on_verdict("rrep.accepted")
     m.on_verdict("rrep.rejected.bad_signature")
@@ -144,30 +144,6 @@ def test_summary_is_flat_and_json_serializable():
     assert summary["configured_nodes"] == 1
     assert summary["bootstrap_time_max"] == 2.5
     assert summary["discoveries_succeeded"] == 1
-
-
-def test_merge_sums_counters_and_concatenates_latencies():
-    a = _populated_collector()
-    b = _populated_collector(latency_scale=2.0)
-    merged = MetricsCollector.merge([a, b])
-    assert merged.msgs_sent["RREQ"] == 2
-    assert merged.flows[(A, B)].sent == 8
-    assert merged.flows[(A, B)].delivered == 6
-    assert len(merged.flows[(A, B)].latencies) == 6
-    assert merged.verdicts["rrep.accepted"] == 2
-    assert merged.crypto_ops["simsig.sign"] == 2
-    assert merged.dad_rounds["n0"] == 2
-    # dad_time keeps the worst observed value on name collision
-    assert merged.dad_time["n0"] == 2.5
-    assert merged.discoveries_succeeded == 2
-    # summary of a merge is still well-formed
-    assert merged.summary()["pdr"] == 0.75
-
-
-def test_merge_of_nothing_is_empty():
-    merged = MetricsCollector.merge([])
-    assert merged.summary()["data_sent"] == 0
-    assert merged.summary()["pdr"] == 0.0
 
 
 def test_reports_render_without_error():

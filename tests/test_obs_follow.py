@@ -1,8 +1,9 @@
-"""Live tailing: byte-offset resume, replace tolerance, follow == post-hoc.
+"""Live follow: re-read per poll, replace tolerance, follow == post-hoc.
 
 The acceptance contract: ``report --follow`` over an in-flight campaign
-consumes only appended bytes (no full-file re-reads in steady state),
-survives the runner's finalize ``os.replace``, and its final report is
+counts each run index once however often it re-reads the file, holds
+a record still mid-write back until it lands whole, survives the
+runner's finalize ``os.replace``, and its final report is
 byte-identical to a post-hoc report over the finalized file.
 """
 
@@ -15,14 +16,9 @@ import threading
 import pytest
 
 from conftest import streaming_campaign_dict
-from repro.campaign import (
-    CampaignRunner,
-    CampaignSpec,
-    aggregate,
-    tail_jsonl,
-)
+from repro.campaign import CampaignRunner, CampaignSpec, aggregate
 from repro.campaign.cli import main
-from repro.obs.follow import ResultsTail, follow_report
+from repro.obs.follow import follow_report
 
 
 def _write(path, text, mode="a"):
@@ -37,88 +33,38 @@ def _rec(i, **extra):
     return json.dumps(record, sort_keys=True)
 
 
-# -- tail_jsonl: the byte-offset primitive -----------------------------------
+# -- follow_report: re-read per poll ----------------------------------------
 
-def test_tail_jsonl_resumes_from_returned_offset(tmp_path):
+def test_follow_report_counts_each_index_once_across_finalize_replace(tmp_path):
     path = tmp_path / "results.jsonl"
-    _write(path, _rec(0) + "\n" + _rec(1) + "\n", mode="w")
-    records, warnings, offset = tail_jsonl(path)
-    assert [r["index"] for r in records] == [0, 1]
-    assert warnings == []
-    assert offset == os.path.getsize(path)
+    recs = {i: _rec(i, summary={"pdr": i / 4}) for i in range(4)}
+    # completion-order stream: 1, 0
+    _write(path, recs[1] + "\n" + recs[0] + "\n", mode="w")
 
-    # appends after the offset are picked up without re-reading the past
-    _write(path, _rec(2) + "\n")
-    records, warnings, offset2 = tail_jsonl(path, offset)
-    assert [r["index"] for r in records] == [2]
-    assert offset2 == os.path.getsize(path)
+    def finalize_replace():
+        # the atomic replace with the index-sorted rewrite of 0..2
+        tmp = str(path) + ".tmp"
+        _write(tmp, "".join(recs[i] + "\n" for i in range(3)), mode="w")
+        os.replace(tmp, path)
 
-    # nothing new: no records, offset unchanged
-    records, warnings, offset3 = tail_jsonl(path, offset2)
-    assert records == [] and offset3 == offset2
-
-
-def test_tail_jsonl_holds_back_torn_fragment_until_complete(tmp_path):
-    path = tmp_path / "results.jsonl"
-    done, torn = _rec(0), _rec(1)
-    _write(path, done + "\n" + torn[:17], mode="w")  # torn mid-write
-    records, warnings, offset = tail_jsonl(path)
-    assert [r["index"] for r in records] == [0]
-    assert len(warnings) == 1 and "torn final line" in warnings[0]
-    assert offset == len(done) + 1  # the fragment was NOT consumed
-
-    # the writer finishes the line: the next tail reads it whole
-    _write(path, torn[17:] + "\n")
-    records, warnings, offset = tail_jsonl(path, offset)
-    assert [r["index"] for r in records] == [1]
-    assert warnings == []
-
-
-def test_tail_jsonl_consumes_newline_less_complete_record(tmp_path):
-    path = tmp_path / "results.jsonl"
-    _write(path, _rec(0), mode="w")  # complete JSON, newline not landed yet
-    records, _, offset = tail_jsonl(path)
-    assert [r["index"] for r in records] == [0]
-    # the late newline is consumed as an empty line on the next tail
-    _write(path, "\n" + _rec(1) + "\n")
-    records, _, _ = tail_jsonl(path, offset)
-    assert [r["index"] for r in records] == [1]
-
-
-def test_tail_jsonl_raises_on_corruption_before_final_line(tmp_path):
-    path = tmp_path / "results.jsonl"
-    _write(path, _rec(0) + "\n{bogus}\n" + _rec(1) + "\n", mode="w")
-    with pytest.raises(ValueError, match="corrupt line 2"):
-        tail_jsonl(path)
-
-
-# -- ResultsTail: replace tolerance ------------------------------------------
-
-def test_results_tail_survives_finalize_replace(tmp_path):
-    path = tmp_path / "results.jsonl"
-    # completion-order stream: 1, 0, 2
-    _write(path, _rec(1) + "\n" + _rec(0) + "\n", mode="w")
-    tail = ResultsTail(path)
-    assert [r["index"] for r in tail.poll()] == [1, 0]
-
-    _write(path, _rec(2) + "\n")
-    assert [r["index"] for r in tail.poll()] == [2]
-
-    # finalize: atomic replace with the index-sorted rewrite
-    tmp = str(path) + ".tmp"
-    _write(tmp, "".join(_rec(i) + "\n" for i in range(3)), mode="w")
-    os.replace(tmp, path)
-    # everything in the rewrite was already consumed: dedup yields nothing
-    assert tail.poll() == []
-
-    # a record appended after the replace still comes through
-    _write(path, _rec(3) + "\n")
-    assert [r["index"] for r in tail.poll()] == [3]
-
-
-def test_results_tail_missing_file_is_empty_not_error(tmp_path):
-    tail = ResultsTail(tmp_path / "not-yet.jsonl")
-    assert tail.poll() == []
+    steps = [
+        lambda: _write(path, recs[2] + "\n"),
+        finalize_replace,
+        lambda: _write(path, recs[3][:17]),  # run 3 mid-write: held back
+        lambda: _write(path, recs[3][17:] + "\n"),
+    ]
+    updates = []
+    report = follow_report(path, total=4, interval=0.0,
+                           on_update=updates.append,
+                           sleep=lambda _seconds: steps.pop(0)())
+    assert steps == []
+    # the replace and the torn line added no run; each index counted once
+    assert updates == [2, 3, 4]
+    expected = aggregate([json.loads(recs[i]) for i in range(4)])
+    assert json.dumps(report, sort_keys=True) == \
+           json.dumps(expected, sort_keys=True)
+    assert report["runs"] == 4
+    assert report["groups"][0]["metrics"]["pdr"]["mean"] == 0.375
 
 
 # -- follow_report: live == post-hoc -----------------------------------------
@@ -172,11 +118,12 @@ def test_follow_report_matches_finalized_report_json(followed_campaign):
 
 
 def test_follow_report_bounded_by_max_polls(tmp_path):
-    # nothing ever appears: the poll budget ends the loop
+    # nothing ever appears: the poll budget ends the loop, and a missing
+    # file reads as no runs, not an error
     sleeps = []
     report = follow_report(tmp_path / "never.jsonl", total=5,
                            interval=0.0, max_polls=3, sleep=sleeps.append)
-    assert report["runs"] == 0
+    assert report == aggregate([])
     assert len(sleeps) == 2  # the final poll ends the loop without sleeping
 
 
