@@ -236,22 +236,6 @@ def test_read_jsonl_partial_accepts_clean_and_torn_files(tmp_path):
     records, warnings = read_jsonl_partial(path)
     assert records == full[:1] and len(warnings) == 1
 
-    # a torn line is held back until the writer finishes it, then read
-    # whole; blank lines after it do not make it a mid-file line
-    torn = json.dumps(full[1])
-    path.write_text(json.dumps(full[0]) + "\n" + torn[:9] + "\n\n")
-    records, warnings = read_jsonl_partial(path)
-    assert records == full[:1]
-    assert len(warnings) == 1 and "torn final line 2" in warnings[0]
-    path.write_text(json.dumps(full[0]) + "\n" + torn[:9])
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(torn[9:] + "\n")
-    assert read_jsonl_partial(path) == (full[:2], [])
-
-    # a complete final record whose newline has not landed yet is kept
-    path.write_text(json.dumps(full[0]) + "\n" + json.dumps(full[1]))
-    assert read_jsonl_partial(path) == (full[:2], [])
-
     # empty and whitespace-only files are just "no records yet"
     path.write_text("")
     assert read_jsonl_partial(path) == ([], [])
@@ -268,10 +252,6 @@ def test_read_jsonl_partial_rejects_mid_file_corruption(tmp_path):
     with pytest.raises(ValueError, match="corrupt line 2"):
         read_jsonl_partial(path)
     path.write_text('{"index": 0}\n[1, 2]\n{"index": 2}\n')
-    with pytest.raises(ValueError, match="corrupt line 2"):
-        read_jsonl_partial(path)
-    # ...even when the final line is torn too
-    path.write_text('{"index": 0}\n{bogus}\n{"index": 2')
     with pytest.raises(ValueError, match="corrupt line 2"):
         read_jsonl_partial(path)
 

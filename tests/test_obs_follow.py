@@ -16,7 +16,12 @@ import threading
 import pytest
 
 from conftest import streaming_campaign_dict
-from repro.campaign import CampaignRunner, CampaignSpec, aggregate
+from repro.campaign import (
+    CampaignRunner,
+    CampaignSpec,
+    aggregate,
+    read_jsonl_partial,
+)
 from repro.campaign.cli import main
 from repro.obs.follow import follow_report
 
@@ -31,6 +36,63 @@ def _rec(i, **extra):
               "params": {}, "summary": {"pdr": 1.0}}
     record.update(extra)
     return json.dumps(record, sort_keys=True)
+
+
+# -- the torn-tail cases a follower meets, through the one reader -------------
+
+def test_tail_jsonl_holds_back_torn_fragment_until_complete(tmp_path):
+    path = tmp_path / "results.jsonl"
+    done, torn = _rec(0), _rec(1)
+    _write(path, done + "\n" + torn[:17], mode="w")  # torn mid-write
+    records, warnings = read_jsonl_partial(path)
+    assert [r["index"] for r in records] == [0]
+    assert len(warnings) == 1 and "torn final line 2" in warnings[0]
+
+    # blank lines after the fragment do not make it a mid-file line
+    _write(path, done + "\n" + torn[:17] + "\n\n", mode="w")
+    records, warnings = read_jsonl_partial(path)
+    assert [r["index"] for r in records] == [0]
+    assert len(warnings) == 1 and "torn final line 2" in warnings[0]
+
+    # the writer finishes the line: the next read takes it whole
+    _write(path, done + "\n" + torn[:17], mode="w")
+    _write(path, torn[17:] + "\n")
+    records, warnings = read_jsonl_partial(path)
+    assert [r["index"] for r in records] == [0, 1]
+    assert warnings == []
+
+
+def test_tail_jsonl_consumes_newline_less_complete_record(tmp_path):
+    path = tmp_path / "results.jsonl"
+    _write(path, _rec(0), mode="w")  # complete JSON, newline not landed yet
+    records, warnings = read_jsonl_partial(path)
+    assert [r["index"] for r in records] == [0]
+    assert warnings == []
+    # the late newline lands, then the next record
+    _write(path, "\n" + _rec(1) + "\n")
+    records, warnings = read_jsonl_partial(path)
+    assert [r["index"] for r in records] == [0, 1]
+    assert warnings == []
+
+
+def test_tail_jsonl_raises_on_corruption_before_final_line(tmp_path):
+    path = tmp_path / "results.jsonl"
+    _write(path, _rec(0) + "\n{bogus}\n" + _rec(1) + "\n", mode="w")
+    with pytest.raises(ValueError, match="corrupt line 2"):
+        read_jsonl_partial(path)
+    # ...even when the final line is torn too
+    _write(path, _rec(0) + "\n{bogus}\n" + _rec(1)[:17], mode="w")
+    with pytest.raises(ValueError, match="corrupt line 2"):
+        read_jsonl_partial(path)
+
+
+def test_results_tail_missing_file_is_empty_not_error(tmp_path):
+    # a follower may start before the runner creates results.jsonl
+    sleeps = []
+    report = follow_report(tmp_path / "not-yet.jsonl", total=1,
+                           interval=0.0, max_polls=1, sleep=sleeps.append)
+    assert report == aggregate([])
+    assert sleeps == []
 
 
 # -- follow_report: re-read per poll ----------------------------------------
@@ -118,8 +180,7 @@ def test_follow_report_matches_finalized_report_json(followed_campaign):
 
 
 def test_follow_report_bounded_by_max_polls(tmp_path):
-    # nothing ever appears: the poll budget ends the loop, and a missing
-    # file reads as no runs, not an error
+    # nothing ever appears: the poll budget ends the loop
     sleeps = []
     report = follow_report(tmp_path / "never.jsonl", total=5,
                            interval=0.0, max_polls=3, sleep=sleeps.append)
